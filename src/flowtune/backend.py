@@ -9,12 +9,14 @@ budget enforcement, and JSON-repair retries on top.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
 import re
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -109,6 +111,46 @@ class ReplayMissError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# Ordered fan-out tasks
+# ---------------------------------------------------------------------------
+
+class FanOutTask:
+    """One item of an ordered fan-out (see `Runtime.fan_out`), as seen by the
+    backends below the client: the thread running the item has it current.
+
+    `turn` is set once every earlier item of the same fan-out is committed;
+    `deferred` holds actions that run when this item is committed, in item
+    order, on the thread that runs the fan-out.
+    """
+
+    def __init__(self, parent: "FanOutTask | None"):
+        self.parent = parent
+        self.turn = threading.Event()
+        self.deferred: list[Callable[[], None]] = []
+
+
+CURRENT_TASK: ContextVar[FanOutTask | None] = ContextVar("flowtune_fan_out_task", default=None)
+
+
+def wait_for_turn() -> None:
+    """Block until the calling item, and each item it is nested in, is the
+    oldest uncommitted item of its fan-out. A no-op outside a fan-out."""
+    task = CURRENT_TASK.get()
+    while task is not None:
+        task.turn.wait()
+        task = task.parent
+
+
+def at_commit(action: Callable[[], None]) -> None:
+    """Run `action` when the calling item is committed; at once outside a fan-out."""
+    task = CURRENT_TASK.get()
+    if task is None:
+        action()
+    else:
+        task.deferred.append(action)
+
+
+# ---------------------------------------------------------------------------
 # Scripted mock
 # ---------------------------------------------------------------------------
 
@@ -147,7 +189,14 @@ class ScriptedMockBackend:
 # HTTP (OpenAI-compatible chat completions)
 # ---------------------------------------------------------------------------
 
+# Statuses a later attempt can succeed on; any other 4xx or 5xx fails at once.
+RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+
+
 class HttpBackend:
+    """Each thread that calls `complete` keeps its own `requests.Session`, so
+    the workers of a fan-out each reuse one kept-alive connection."""
+
     def __init__(self, endpoint: str, api_key_env: str = "", timeout_s: float = 60.0,
                  max_attempts: int = 3, backoff_base_s: float = 0.5,
                  sleep: Callable[[float], None] = time.sleep):
@@ -156,12 +205,19 @@ class HttpBackend:
         import requests
 
         self._requests = requests
+        self._local = threading.local()
         self.endpoint = endpoint.rstrip("/")
         self.api_key = os.environ.get(api_key_env, "") if api_key_env else ""
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self._sleep = sleep
+
+    def _session(self):
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = self._requests.Session()
+        return session
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         url = f"{self.endpoint}/chat/completions"
@@ -176,12 +232,22 @@ class HttpBackend:
         }
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
+            if attempt:
+                self._sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             start = time.monotonic()
             try:
-                resp = self._requests.post(url, headers=headers, json=body, timeout=self.timeout_s)
-                if resp.status_code in (429, 500, 502, 503, 504):
-                    raise TransportError(f"HTTP {resp.status_code}")
-                resp.raise_for_status()
+                resp = self._session().post(url, headers=headers, json=body,
+                                            timeout=self.timeout_s)
+            except Exception as e:  # noqa: BLE001 - every failure to send or receive is retryable
+                last_error = e
+                continue
+            if resp.status_code in RETRYABLE_STATUSES:
+                last_error = TransportError(f"HTTP {resp.status_code}")
+                continue
+            if resp.status_code >= 400:
+                raise TransportError(f"chat completion failed with HTTP {resp.status_code}; "
+                                     f"not retried")
+            try:
                 data = resp.json()
                 usage = data.get("usage", {})
                 return ChatResponse(
@@ -190,10 +256,8 @@ class HttpBackend:
                     output_tokens=int(usage.get("completion_tokens", 0)),
                     latency_s=time.monotonic() - start,
                 )
-            except Exception as e:  # noqa: BLE001 - every transport failure is retryable
-                last_error = e
-                if attempt + 1 < self.max_attempts:
-                    self._sleep(self.backoff_base_s * (2 ** attempt))
+            except (ValueError, LookupError, TypeError, AttributeError) as e:
+                raise TransportError(f"unreadable chat completion response: {e!r}") from e
         raise TransportError(f"chat completion failed after {self.max_attempts} attempts: {last_error}")
 
 
@@ -211,6 +275,10 @@ class ReplayBackend:
     Replay is strict: a request whose hash is absent from the store fails
     loudly, naming the hash. Repeated identical requests replay in recorded
     order, sticking at the last recorded response once exhausted.
+
+    Inside a fan-out, both modes keep the serial order: record mode writes
+    a task's rows when the task is committed, and replay mode serves a key
+    with more than one recorded response only on the task's turn.
     """
 
     def __init__(self, store_path: str | Path, mode: str, inner: Backend | None = None):
@@ -247,14 +315,15 @@ class ReplayBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request_replay_key(request)
         if self.mode == REPLAY:
+            recorded = self._responses.get(key)
+            if not recorded:
+                raise ReplayMissError(key, request)
+            if len(recorded) > 1:
+                wait_for_turn()
             with self._lock:
-                recorded = self._responses.get(key)
-                if not recorded:
-                    raise ReplayMissError(key, request)
                 cursor = self._cursors.get(key, 0)
-                response = recorded[min(cursor, len(recorded) - 1)]
                 self._cursors[key] = cursor + 1
-            return response
+            return recorded[min(cursor, len(recorded) - 1)]
         response = self.inner.complete(request)
         row = {
             "key": key,
@@ -272,10 +341,12 @@ class ReplayBackend:
                 "latency_s": response.latency_s,
             },
         }
-        with self._lock:
-            with open(self.store_path, "a", encoding="utf-8") as f:
-                f.write(compact_json(row) + "\n")
+        at_commit(lambda line=compact_json(row): self._write(line))
         return response
+
+    def _write(self, line: str) -> None:
+        with open(self.store_path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -358,34 +429,74 @@ REPAIR_INSTRUCTION = (
 JSON_RETRY_LIMIT = 3
 
 
+class _BudgetState:
+    """Calls issued and cost spent, shared by a client and its task views.
+
+    A call is reserved before it is issued, so `max_calls` holds at any
+    concurrency; the cost of a call counts once it returns, so each call in
+    flight can overshoot `max_cost_usd`.
+    """
+
+    def __init__(self, issued: int, spent_micro: int):
+        self._lock = threading.Lock()
+        self._issued = issued
+        self._spent_micro = spent_micro
+
+    def reserve(self, budget: Budget | None) -> None:
+        with self._lock:
+            if budget is not None:
+                if budget.max_calls is not None and self._issued + 1 > budget.max_calls:
+                    raise BudgetExceeded(f"call budget {budget.max_calls} reached")
+                if budget.max_cost_usd is not None:
+                    limit_micro = int(round(budget.max_cost_usd * 1_000_000))
+                    if self._spent_micro >= limit_micro:
+                        raise BudgetExceeded(f"cost budget ${budget.max_cost_usd} reached")
+            self._issued += 1
+
+    def release(self) -> None:
+        """Return the reservation of a call that failed."""
+        with self._lock:
+            self._issued -= 1
+
+    def spend(self, cost_micro: int) -> None:
+        with self._lock:
+            self._spent_micro += cost_micro
+
+
 class ChatClient:
     """One completion surface for the whole engine.
 
     Every successful call appends exactly one ledger row, tagged with the
-    call's purpose. When a budget is set, the check runs before each call, so
-    at most one in-flight call can overshoot the cap.
+    call's purpose. When a budget is set, each call reserves its place in
+    the call budget before it is issued and adds its cost when it returns.
+    So the call cap is never exceeded, and the cost cap is overshot by at
+    most the calls in flight: one in a serial run, up to `Runtime.concurrency`
+    in a fan-out.
     """
 
     def __init__(self, backend: Backend, ledger: RunLedger, budget: Budget | None = None):
         self.backend = backend
         self.ledger = ledger
         self.budget = budget
+        self._usage = _BudgetState(ledger.call_count, ledger.total_cost_micro)
 
-    def _check_budget(self) -> None:
-        if self.budget is None:
-            return
-        if self.budget.max_calls is not None and self.ledger.call_count + 1 > self.budget.max_calls:
-            raise BudgetExceeded(f"call budget {self.budget.max_calls} reached")
-        if self.budget.max_cost_usd is not None:
-            limit_micro = int(round(self.budget.max_cost_usd * 1_000_000))
-            if self.ledger.total_cost_micro >= limit_micro:
-                raise BudgetExceeded(f"cost budget ${self.budget.max_cost_usd} reached")
+    def with_ledger(self, ledger: RunLedger) -> "ChatClient":
+        """A view that records into `ledger` and shares this client's backend
+        and budget."""
+        view = copy.copy(self)
+        view.ledger = ledger
+        return view
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._check_budget()
-        response = self.backend.complete(request)
-        self.ledger.record_call(request.purpose.value, request.model_id,
-                                response.input_tokens, response.output_tokens)
+        self._usage.reserve(self.budget)
+        try:
+            response = self.backend.complete(request)
+        except BaseException:
+            self._usage.release()
+            raise
+        row = self.ledger.record_call(request.purpose.value, request.model_id,
+                                      response.input_tokens, response.output_tokens)
+        self._usage.spend(row.cost_micro)
         return response
 
     def complete_json(self, request: ChatRequest, retries: int = JSON_RETRY_LIMIT):

@@ -93,6 +93,7 @@ def cmd_train(config_path, run_dir, mode, seed, epochs, init_checkpoint) -> None
         _fail(RUNTIME_EXIT, str(e))
 
     rt.client.ledger.close()
+    rt.close()
     print(json.dumps({
         "best_val_score": result.best_val_score,
         "best_batch_index": result.best_batch_index,
@@ -126,6 +127,8 @@ def cmd_eval(checkpoint, dataset_path, metric_name, config_path) -> None:
         summary = evaluate(rt, state, samples, metric_name)
     except Exception as e:  # noqa: BLE001
         _fail(RUNTIME_EXIT, str(e))
+    finally:
+        rt.close()
     print(json.dumps({"metric": metric_name, "mean": summary.mean_score, "n": len(samples)}))
 
 
@@ -216,6 +219,7 @@ def cmd_replay(run_dir, out_dir) -> None:
                                     metric_info(cfg.metric))
         train(rt, tcfg, train_set, val_set, state0, cfg.metric, run_dir=directory)
         rt.client.ledger.close()
+        rt.close()
 
         mismatches = []
         for name in REPLAY_FILES:

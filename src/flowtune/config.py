@@ -23,7 +23,7 @@ from .backend import (
     echo_script,
     render_fenced,
 )
-from .runtime import ModelSettings, Runtime
+from .runtime import DEFAULT_CONCURRENCY, ModelSettings, Runtime
 from .store import LogicalClock, PriceTable, RunLedger, SystemClock
 from .templates import load_templates
 from .tools import CorpusIndex, ToolRegistry, load_corpus, make_corpus_search_tool
@@ -100,6 +100,7 @@ class RunConfig:
     val_subsample: int | None = None
     keep_traces: bool = False
     loop_sentinel: str = "VERDICT: DONE"
+    concurrency: int = DEFAULT_CONCURRENCY
     base_dir: Path = field(default_factory=Path)
 
     def resolve(self, path: str | None) -> Path | None:
@@ -124,6 +125,7 @@ class RunConfig:
             "val_subsample": self.val_subsample,
             "keep_traces": self.keep_traces,
             "loop_sentinel": self.loop_sentinel,
+            "concurrency": self.concurrency,
         }
 
     def resolved_json_obj(self) -> dict:
@@ -164,6 +166,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"backend.kind must be one of {BACKEND_KINDS}")
     if cfg.mode not in ("full", "prompt_only", "no_bilevel", "no_layerwise"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if isinstance(cfg.concurrency, bool) or not isinstance(cfg.concurrency, int) \
+            or cfg.concurrency < 1:
+        raise ConfigError(f"concurrency must be an integer >= 1, got {cfg.concurrency!r}")
     return cfg
 
 
@@ -277,4 +282,5 @@ def build_runtime(cfg: RunConfig, ledger_sink: Path | None = None,
         tools=build_tool_registry(cfg),
         clock=clock,
         loop_sentinel=cfg.loop_sentinel,
+        concurrency=cfg.concurrency,
     )

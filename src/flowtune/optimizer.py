@@ -520,20 +520,21 @@ def seed_state() -> WorkflowState:
 
 def bootstrap_workflow(rt: Runtime, batch: list[Sample], metric, metrics_info: str) -> WorkflowState:
     """Cold start: instruction-free answers, one structure-gradient step per
-    sample, then a normal workflow update from a one-step seed state."""
+    sample (the samples as one fan-out), then a normal workflow update from a
+    one-step seed state."""
     if not batch:
         raise ValueError("bootstrap batch must be nonempty")
     base = seed_state()
-    workflow_grads: list[TextualGradient] = []
-    for sample in batch:
+
+    def workflow_gradient(view: Runtime, sample: Sample) -> TextualGradient | None:
         request = ChatRequest(
-            model_id=rt.settings.executor_model,
+            model_id=view.settings.executor_model,
             messages=(Message("user", sample.question),),
-            temperature=rt.settings.executor_temperature,
-            max_output_tokens=rt.settings.max_output_tokens,
+            temperature=view.settings.executor_temperature,
+            max_output_tokens=view.settings.max_output_tokens,
             purpose=Purpose.BOOTSTRAP,
         )
-        response = rt.client.complete(request)
+        response = view.client.complete(request)
         pseudo_trace = ExecutionTrace(
             sample_id=sample.id,
             records=(StepRecord(
@@ -546,10 +547,12 @@ def bootstrap_workflow(rt: Runtime, batch: list[Sample], metric, metrics_info: s
         )
         eval_result = metric(response.content, sample.answer)
         try:
-            workflow_grads.append(grad_workflow(rt, base, pseudo_trace, sample,
-                                                eval_result, metrics_info))
+            return grad_workflow(view, base, pseudo_trace, sample, eval_result, metrics_info)
         except GradientUnavailable as e:
             logger.warning("bootstrap gradient skipped: %s", e)
+            return None
+
+    workflow_grads = [g for g in rt.fan_out(workflow_gradient, batch) if g is not None]
     if not workflow_grads:
         raise BootstrapFailed("no bootstrap sample produced a workflow gradient")
     outcome = update_workflow(rt, base, workflow_grads,

@@ -1,10 +1,13 @@
-"""Shared execution context: client, model settings, templates, tools, clock."""
+"""Shared execution context: client, model settings, templates, tools, clock,
+and the ordered fan-out that runs independent calls concurrently."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import CancelledError, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, TypeVar
 
-from .backend import ChatClient, ChatRequest, Message, Purpose
+from .backend import CURRENT_TASK, ChatClient, ChatRequest, FanOutTask, Message, Purpose, at_commit
 from .model import LOOP_DONE_SENTINEL
 from .store import Clock, SystemClock
 from .templates import PromptLibrary, load_templates
@@ -26,6 +29,12 @@ class ModelSettings:
     max_output_tokens: int = 4096
 
 
+DEFAULT_CONCURRENCY = 8
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
 @dataclass
 class Runtime:
     client: ChatClient
@@ -34,6 +43,64 @@ class Runtime:
     tools: ToolRegistry = field(default_factory=ToolRegistry)
     clock: Clock = field(default_factory=SystemClock)
     loop_sentinel: str = LOOP_DONE_SENTINEL
+    concurrency: int = DEFAULT_CONCURRENCY
+    _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+
+    def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T]) -> list[R]:
+        """`fn(view, item)` for every item; the results in item order.
+
+        Up to `concurrency` items run at once on a persistent thread pool; at
+        concurrency 1, or for a single item, they run inline, one after the
+        other, through the same steps. Each item runs against a view of this
+        runtime that buffers its ledger rows and clock readings, and the
+        buffers are committed here in item order, so ledger indices and
+        timestamps come out exactly as in a serial run. When items raise,
+        every item that ran is committed first, then the exception of the
+        earliest failing item is raised; items not yet started are dropped.
+        `fn` makes its calls through `view`, never through this runtime; a
+        fan-out on the view runs inline.
+        """
+        items = list(items)
+        tasks = [_Task(self) for _ in items]
+        if self.concurrency == 1 or len(items) <= 1:
+            results = []
+            for task, item in zip(tasks, items):
+                task.turn.set()
+                try:
+                    results.append(task.run(fn, item))
+                finally:
+                    task.commit()
+            return results
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="flowtune")
+        futures = [self._pool.submit(task.run, fn, item) for task, item in zip(tasks, items)]
+        results, error = [], None
+        for i, (task, future) in enumerate(zip(tasks, futures)):
+            task.turn.set()
+            try:
+                results.append(future.result())
+            except CancelledError:
+                pass
+            except BaseException as e:
+                if error is None:
+                    error = e
+                    for later in futures[i + 1:]:
+                        later.cancel()
+            task.commit()
+        if error is not None:
+            raise error
+        return results
+
+    def close(self) -> None:
+        """Stop the fan-out's worker threads; a later fan-out starts new ones."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def executor_request(self, system: str, user: str, purpose: Purpose = Purpose.FORWARD,
                          extra_messages: tuple[Message, ...] = ()) -> ChatRequest:
@@ -54,3 +121,31 @@ class Runtime:
             max_output_tokens=self.settings.max_output_tokens,
             purpose=purpose,
         )
+
+
+class _Task(FanOutTask):
+    """One item of `Runtime.fan_out`: its runtime view and their buffers."""
+
+    def __init__(self, rt: Runtime):
+        super().__init__(parent=CURRENT_TASK.get())
+        self.rt = rt
+        ledger = rt.client.ledger
+        self.clock = rt.clock.fork()
+        # The ledger usually stamps rows from the runtime's own clock.
+        self.ledger = ledger.fork(self.clock if ledger.clock is rt.clock else ledger.clock.fork())
+        self.view = replace(rt, client=rt.client.with_ledger(self.ledger), clock=self.clock,
+                            concurrency=1)
+
+    def run(self, fn, item):
+        token = CURRENT_TASK.set(self)
+        try:
+            return fn(self.view, item)
+        finally:
+            CURRENT_TASK.reset(token)
+
+    def commit(self) -> None:
+        self.rt.client.ledger.absorb(self.ledger)
+        if self.clock is not self.ledger.clock:
+            self.rt.clock.join(self.clock)
+        for action in self.deferred:
+            at_commit(action)

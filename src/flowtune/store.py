@@ -9,9 +9,8 @@ emitted files byte-identical across repeat runs.
 from __future__ import annotations
 
 import json
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -24,6 +23,19 @@ class Clock:
     def now(self) -> float | int:
         raise NotImplementedError
 
+    def fork(self) -> "Clock":
+        """The clock one task of an ordered fan-out reads (see Runtime.fan_out).
+
+        A fork's readings are relative to the task's start: only their
+        differences mean anything until `join` supplies the offset. A clock
+        whose readings are not deterministic can be shared as is."""
+        return self
+
+    def join(self, fork: "Clock") -> float | int:
+        """Take over a fork's readings as if they had been made here, now;
+        returns the offset that turns the fork's readings into this clock's."""
+        return 0
+
 
 class SystemClock(Clock):
     def now(self) -> float:
@@ -31,16 +43,26 @@ class SystemClock(Clock):
 
 
 class LogicalClock(Clock):
-    """Deterministic monotone counter; one tick per reading."""
+    """Deterministic monotone counter; one tick per reading.
+
+    Only the thread that runs a fan-out reads the root clock; each task
+    counts its own ticks on a fork, joined in task order.
+    """
 
     def __init__(self, start: int = 0):
         self._tick = start
-        self._lock = threading.Lock()
 
     def now(self) -> int:
-        with self._lock:
-            self._tick += 1
-            return self._tick
+        self._tick += 1
+        return self._tick
+
+    def fork(self) -> "LogicalClock":
+        return LogicalClock()
+
+    def join(self, fork: "LogicalClock") -> int:
+        base = self._tick
+        self._tick += fork._tick
+        return base
 
 
 @dataclass(frozen=True)
@@ -112,50 +134,67 @@ class LedgerRow:
 
 
 class RunLedger:
-    """Append-only record of every model call. Rows are never mutated."""
+    """Append-only record of every model call. Rows are never mutated.
+
+    Call count and cost total are kept as running sums, so reading them is
+    O(1). Only one thread appends: tasks of a fan-out record into a `fork()`
+    each, which the thread running the fan-out `absorb`s in task order, so
+    `idx` and `ts` come out as in a serial run.
+    """
 
     def __init__(self, prices: PriceTable | None = None, clock: Clock | None = None,
                  sink_path: str | Path | None = None):
         self.prices = prices or PriceTable()
         self.clock = clock or SystemClock()
         self._rows: list[LedgerRow] = []
-        self._lock = threading.Lock()
+        self._cost_micro = 0
         self._sink = open(sink_path, "a", encoding="utf-8") if sink_path else None
 
     def record_call(self, purpose: str, model_id: str, input_tokens: int,
                     output_tokens: int) -> LedgerRow:
         cost, warn = self.prices.cost_micro(model_id, input_tokens, output_tokens)
-        with self._lock:
-            row = LedgerRow(
-                idx=len(self._rows),
-                purpose=purpose,
-                model=model_id,
-                in_tok=input_tokens,
-                out_tok=output_tokens,
-                cost_micro=cost,
-                ts=self.clock.now(),
-                warn=warn,
-            )
-            self._rows.append(row)
-            if self._sink is not None:
-                self._sink.write(row.to_line() + "\n")
-                self._sink.flush()
+        row = LedgerRow(
+            idx=len(self._rows),
+            purpose=purpose,
+            model=model_id,
+            in_tok=input_tokens,
+            out_tok=output_tokens,
+            cost_micro=cost,
+            ts=self.clock.now(),
+            warn=warn,
+        )
+        self._append(row)
         return row
+
+    def _append(self, row: LedgerRow) -> None:
+        self._rows.append(row)
+        self._cost_micro += row.cost_micro
+        if self._sink is not None:
+            self._sink.write(row.to_line() + "\n")
+            self._sink.flush()
+
+    def fork(self, clock: Clock) -> "RunLedger":
+        """An in-memory ledger for one task, stamping rows from `clock`."""
+        return RunLedger(self.prices, clock)
+
+    def absorb(self, fork: "RunLedger") -> None:
+        """Append a fork's rows, renumbered, and join its clock into this
+        ledger's clock, moving the rows' timestamps along with it."""
+        ts_offset = self.clock.join(fork.clock)
+        for row in fork._rows:
+            self._append(replace(row, idx=len(self._rows), ts=row.ts + ts_offset))
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:
-        with self._lock:
-            return tuple(self._rows)
+        return tuple(self._rows)
 
     @property
     def call_count(self) -> int:
-        with self._lock:
-            return len(self._rows)
+        return len(self._rows)
 
     @property
     def total_cost_micro(self) -> int:
-        with self._lock:
-            return sum(r.cost_micro for r in self._rows)
+        return self._cost_micro
 
     @property
     def total_cost_usd(self) -> Decimal:

@@ -9,6 +9,7 @@ format.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -109,24 +110,27 @@ class CorpusIndex:
             raise EmptyCorpusError("corpus is empty")
         terms = tokenize(query)
         n = len(self.docs)
-        scored: list[tuple[float, str, CorpusDoc]] = []
-        for doc in self.docs:
-            counts = self._doc_counts[doc.doc_id]
-            length = max(1, len(self._doc_tokens[doc.doc_id]))
-            score = 0.0
-            for t in terms:
-                tf = counts.get(t, 0)
-                if tf == 0:
-                    continue
-                idf = math.log(1.0 + n / self._df[t])
-                score += tf * idf
-            score /= length
-            if score > 0.0:
-                scored.append((score, doc.doc_id, doc))
-        scored.sort(key=lambda item: (-item[0], item[1]))
+
+        def scored():
+            for doc in self.docs:
+                counts = self._doc_counts[doc.doc_id]
+                length = max(1, len(self._doc_tokens[doc.doc_id]))
+                score = 0.0
+                for t in terms:
+                    tf = counts.get(t, 0)
+                    if tf == 0:
+                        continue
+                    idf = math.log(1.0 + n / self._df[t])
+                    score += tf * idf
+                score /= length
+                if score > 0.0:
+                    yield score, doc
+
+        # A k-sized heap instead of sorting every matching document.
+        top = heapq.nsmallest(k, scored(), key=lambda item: (-item[0], item[1].doc_id))
         return [
             SearchHit(doc_id=d.doc_id, title=d.title, snippet=d.body[:SNIPPET_CHARS], score=s)
-            for s, _, d in scored[:k]
+            for s, d in top
         ]
 
 

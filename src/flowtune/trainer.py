@@ -125,14 +125,15 @@ class TrainResult:
 def evaluate(rt: Runtime, state: WorkflowState, dataset: list[Sample], metric_name: str,
              trace_sink: Callable[[ExecutionTrace], None] | None = None) -> EvalSummary:
     """Forward every sample and average the metric. A failed forward scores 0
-    with the error noted rather than aborting the whole evaluation."""
+    with the error noted rather than aborting the whole evaluation. The
+    forwards run as one fan-out; `trace_sink` sees the traces in dataset order."""
     if not dataset:
         raise ValueError("dataset is empty")
     metric = get_metric(metric_name)
+    traces = rt.fan_out(lambda view, sample: run_workflow(view, state, sample), dataset)
     per: list[PerSampleEval] = []
     total = 0.0
-    for sample in dataset:
-        trace = run_workflow(rt, state, sample)
+    for sample, trace in zip(dataset, traces):
         if trace_sink is not None:
             trace_sink(trace)
         if trace.error is not None:
@@ -237,22 +238,35 @@ def _run_batch(rt: Runtime, config: TrainConfig, state: WorkflowState, batch: li
 def _forward_batch(rt: Runtime, state: WorkflowState, batch: list[Sample],
                    metric_name: str):
     metric = get_metric(metric_name)
-    out = []
-    for sample in batch:
-        trace = run_workflow(rt, state, sample)
-        result = metric(trace.final_output, sample.answer)
-        out.append((sample, trace, result))
-    return out
+
+    def forward(view: Runtime, sample: Sample):
+        trace = run_workflow(view, state, sample)
+        return sample, trace, metric(trace.final_output, sample.answer)
+
+    return rt.fan_out(forward, batch)
+
+
+def _per_sample(rt: Runtime, forwards, gradient: Callable, dropped: str) -> list:
+    """`gradient(view, sample, trace, result)` for every forwarded sample, as
+    one fan-out; samples whose gradient is unavailable are left out."""
+
+    def one(view: Runtime, forward):
+        try:
+            return gradient(view, *forward)
+        except GradientUnavailable as e:
+            logger.warning("%s: %s", dropped, e)
+            return None
+
+    return [g for g in rt.fan_out(one, forwards) if g is not None]
 
 
 def _outer_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
                 metrics_info: str, sketch_revision: int) -> tuple[WorkflowState, int]:
-    gradients: list[TextualGradient] = []
-    for sample, trace, result in _forward_batch(rt, state, batch, metric_name):
-        try:
-            gradients.append(grad_workflow(rt, state, trace, sample, result, metrics_info))
-        except GradientUnavailable as e:
-            logger.warning("outer gradient skipped: %s", e)
+    gradients = _per_sample(
+        rt, _forward_batch(rt, state, batch, metric_name),
+        lambda view, sample, trace, result:
+            grad_workflow(view, state, trace, sample, result, metrics_info),
+        "outer gradient skipped")
     if gradients:
         outcome = update_workflow(rt, state, gradients, [s.question for s in batch],
                                   metrics_info)
@@ -264,12 +278,11 @@ def _outer_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_n
 
 def _combined_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
                    metrics_info: str, sketch_revision: int) -> tuple[WorkflowState, int]:
-    gradients: list[TextualGradient] = []
-    for sample, trace, result in _forward_batch(rt, state, batch, metric_name):
-        try:
-            gradients.append(grad_combined(rt, state, trace, sample, result, metrics_info))
-        except GradientUnavailable as e:
-            logger.warning("combined gradient skipped: %s", e)
+    gradients = _per_sample(
+        rt, _forward_batch(rt, state, batch, metric_name),
+        lambda view, sample, trace, result:
+            grad_combined(view, state, trace, sample, result, metrics_info),
+        "combined gradient skipped")
     if gradients:
         outcome = update_workflow_combined(rt, state, gradients, metrics_info)
         if outcome.applied:
@@ -285,31 +298,44 @@ def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
     for _ in range(config.inner_steps_per_round):
         if cached is None or config.recompute_inner_forward:
             cached = _forward_batch(rt, state, batch, metric_name)
-        per_sample_gradients: list[dict[int, TextualGradient]] = []
-        for sample, trace, result in cached:
-            try:
-                per_sample_gradients.append(
-                    backward(rt, state, trace, sample, result, metrics_info, mode=mode))
-            except GradientUnavailable as e:
-                logger.warning("sample dropped from inner step: %s", e)
+        per_sample_gradients: list[dict[int, TextualGradient]] = _per_sample(
+            rt, cached,
+            lambda view, sample, trace, result:
+                backward(view, state, trace, sample, result, metrics_info, mode=mode),
+            "sample dropped from inner step")
         if not per_sample_gradients:
             continue
         if config.mode == MODE_NO_LAYERWISE:
             flat = [g for grads in per_sample_gradients for _, g in sorted(grads.items())]
             state, _ = update_all_prompts(rt, state, flat, num_samples=len(batch))
             continue
-        for name in state.live_executor_names():
-            served = [s.step_id for s in state.sketch if s.executor_name == name]
-            relevant = [
-                grads[step_id]
-                for grads in per_sample_gradients
-                for step_id in served
-                if step_id in grads
-            ]
-            if not relevant:
-                continue
-            update = update_prompt(rt, state, state.executors[name], relevant,
-                                   num_samples=len(batch))
-            if update is not None:
-                state = with_updated_prompt(state, name, update.updated_prompt)
+        state = _update_prompts(rt, state, per_sample_gradients, num_samples=len(batch))
     return state
+
+
+def _update_prompts(rt: Runtime, state: WorkflowState,
+                    per_sample_gradients: list[dict[int, TextualGradient]],
+                    num_samples: int) -> WorkflowState:
+    """One prompt update per live executor, as one fan-out. Each request
+    holds only its executor's prompt and the sketch, which these updates do
+    not change, so they are applied afterwards in `live_executor_names` order."""
+    jobs = []
+    for name in state.live_executor_names():
+        served = [s.step_id for s in state.sketch if s.executor_name == name]
+        relevant = [
+            grads[step_id]
+            for grads in per_sample_gradients
+            for step_id in served
+            if step_id in grads
+        ]
+        if relevant:
+            jobs.append((name, relevant))
+    updates = rt.fan_out(
+        lambda view, job: update_prompt(view, state, state.executors[job[0]], job[1],
+                                        num_samples=num_samples),
+        jobs)
+    updated = state
+    for (name, _), update in zip(jobs, updates):
+        if update is not None:
+            updated = with_updated_prompt(updated, name, update.updated_prompt)
+    return updated

@@ -1,7 +1,8 @@
 import json
+import sys
 import threading
 from decimal import Decimal
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -299,3 +300,95 @@ def test_http_backend_surfaces_after_attempts(stub_server):
     backend = HttpBackend(stub_server, max_attempts=2, sleep=lambda s: None)
     with pytest.raises(TransportError):
         backend.complete(req("ping"))
+
+
+# ---------------------------------------------------------------------------
+# HTTP retry policy and kept-alive connections
+# ---------------------------------------------------------------------------
+
+class FakeResponse:
+    def __init__(self, status_code: int):
+        self.status_code = status_code
+
+    def json(self):
+        return {"choices": [{"message": {"content": "fake reply"}}], "usage": {}}
+
+
+class FakeRequests:
+    """Stands in for the requests module; each post takes the next outcome,
+    a status code or an exception to raise."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.posts = 0
+
+    def Session(self):  # noqa: N802 - mirrors requests.Session
+        return self
+
+    def post(self, url, **kwargs):
+        outcome = self.outcomes[min(self.posts, len(self.outcomes) - 1)]
+        self.posts += 1
+        if isinstance(outcome, Exception):
+            raise outcome
+        return FakeResponse(outcome)
+
+
+def fake_http(monkeypatch, outcomes):
+    fake = FakeRequests(outcomes)
+    monkeypatch.setitem(sys.modules, "requests", fake)
+    return HttpBackend("http://fake", max_attempts=3, sleep=lambda s: None), fake
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
+def test_http_client_errors_fail_after_one_attempt(monkeypatch, status):
+    backend, fake = fake_http(monkeypatch, [status])
+    with pytest.raises(TransportError, match=str(status)):
+        backend.complete(req("ping"))
+    assert fake.posts == 1
+
+
+@pytest.mark.parametrize("failure", [408, 429, 500, 502, 503, 504, ConnectionError("reset")])
+def test_http_transient_failures_are_retried(monkeypatch, failure):
+    backend, fake = fake_http(monkeypatch, [failure, failure, 200])
+    assert backend.complete(req("ping")).content == "fake reply"
+    assert fake.posts == 3
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    connections = 0
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1  # one handler per accepted connection
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = json.dumps({"choices": [{"message": {"content": "kept"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def counting_server():
+    _CountingHandler.connections = 0
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+def test_http_backend_keeps_one_connection_alive(counting_server):
+    backend = HttpBackend(counting_server, sleep=lambda s: None)
+    for i in range(20):
+        assert backend.complete(req(f"ping {i}")).content == "kept"
+    assert _CountingHandler.connections == 1

@@ -49,6 +49,15 @@ def test_bad_mode_rejected(tmp_path):
         load_config(write(tmp_path, {**BASE, "mode": "warp"}))
 
 
+def test_concurrency_reaches_the_runtime_and_is_validated(tmp_path):
+    assert build_runtime(load_config(write(tmp_path, BASE))).concurrency == 8
+    cfg = load_config(write(tmp_path, {**BASE, "concurrency": 3}))
+    assert build_runtime(cfg).concurrency == 3
+    for bad in (0, -2, 1.5, "4", True):
+        with pytest.raises(ConfigError, match="concurrency"):
+            load_config(write(tmp_path, {**BASE, "concurrency": bad}))
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtune.tools import (
     CorpusDoc,
@@ -85,6 +87,49 @@ def test_ties_break_by_doc_id():
     ]
     hits = CorpusIndex(docs).search_topk("same words", k=2)
     assert [h.doc_id for h in hits] == ["a", "b"]
+
+
+def full_sort_topk(docs, query, k):
+    """Every matching document scored and sorted, the k best kept: the
+    ranking the index must reproduce, with the same floating-point steps."""
+    token_lists = {d.doc_id: tokenize(d.title + " " + d.body) for d in docs}
+    df = {}
+    for toks in token_lists.values():
+        for t in set(toks):
+            df[t] = df.get(t, 0) + 1
+    scored = []
+    for d in docs:
+        toks = token_lists[d.doc_id]
+        score = 0.0
+        for t in tokenize(query):
+            tf = toks.count(t)
+            if tf:
+                score += tf * math.log(1.0 + len(docs) / df[t])
+        score /= max(1, len(toks))
+        if score > 0.0:
+            scored.append((score, d.doc_id))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(doc_id, score) for score, doc_id in scored[:k]]
+
+
+WORDS = ["otter", "river", "fish", "stone"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bodies=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+                    min_size=1, max_size=12),
+    id_order=st.randoms(use_true_random=False),
+    query=st.lists(st.sampled_from(WORDS + ["zebra"]), min_size=1, max_size=3),
+    k=st.integers(1, 14),
+)
+def test_heap_select_matches_full_sort_with_ties(bodies, id_order, query, k):
+    # Few words and short bodies make many documents score exactly alike.
+    ids = [f"d{i:02d}" for i in range(len(bodies))]
+    id_order.shuffle(ids)
+    docs = [CorpusDoc(doc_id, "", " ".join(body)) for doc_id, body in zip(ids, bodies)]
+    hits = CorpusIndex(docs).search_topk(" ".join(query), k)
+    assert [(h.doc_id, h.score) for h in hits] == full_sort_topk(docs, " ".join(query), k)
 
 
 def test_empty_corpus_and_bad_k():
