@@ -33,8 +33,6 @@ from .model import (
     StepSpec,
     TextualGradient,
     WorkflowState,
-    apply_diff,
-    diff_sketch,
     validate_state,
 )
 from .optimizer import bootstrap_workflow, init_executor, update_prompt, update_workflow
@@ -76,10 +74,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "WorkflowState",
-    "apply_diff",
     "backward",
     "bootstrap_workflow",
-    "diff_sketch",
     "evaluate",
     "exact_match",
     "extract_json",

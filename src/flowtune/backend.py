@@ -409,6 +409,12 @@ class Budget:
     max_calls: int | None = None
     max_cost_usd: float | None = None
 
+    def __post_init__(self):
+        if self.max_calls is not None and self.max_calls <= 0:
+            raise ValueError("budget.max_calls must be positive when set")
+        if self.max_cost_usd is not None and self.max_cost_usd <= 0:
+            raise ValueError("budget.max_cost_usd must be positive when set")
+
 
 class BudgetExceeded(RuntimeError):
     pass

@@ -27,7 +27,7 @@ from .runtime import DEFAULT_CONCURRENCY, ModelSettings, Runtime
 from .store import LogicalClock, PriceTable, RunLedger, SystemClock
 from .templates import load_templates
 from .tools import CorpusIndex, ToolRegistry, load_corpus, make_corpus_search_tool
-from .trainer import TrainConfig
+from .trainer import MODES, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -164,12 +164,22 @@ def load_config(path: str | Path) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in obj.items()}, base_dir=path.parent.resolve())
     if cfg.backend.get("kind") not in BACKEND_KINDS:
         raise ConfigError(f"backend.kind must be one of {BACKEND_KINDS}")
-    if cfg.mode not in ("full", "prompt_only", "no_bilevel", "no_layerwise"):
+    if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if isinstance(cfg.concurrency, bool) or not isinstance(cfg.concurrency, int) \
             or cfg.concurrency < 1:
         raise ConfigError(f"concurrency must be an integer >= 1, got {cfg.concurrency!r}")
+    run_budget(cfg)
     return cfg
+
+
+def run_budget(cfg: RunConfig) -> Budget:
+    """The client's call and cost cap, the run's only budget."""
+    try:
+        return Budget(max_calls=cfg.budget.get("max_calls"),
+                      max_cost_usd=cfg.budget.get("max_cost_usd"))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad budget {cfg.budget!r}: {e}") from e
 
 
 def model_settings(cfg: RunConfig) -> ModelSettings:
@@ -185,10 +195,6 @@ def model_settings(cfg: RunConfig) -> ModelSettings:
 
 def train_config(cfg: RunConfig) -> TrainConfig:
     s = cfg.schedule
-    budget = Budget(
-        max_calls=cfg.budget.get("max_calls"),
-        max_cost_usd=cfg.budget.get("max_cost_usd"),
-    )
     return TrainConfig(
         batch_size=int(s.get("batch_size", 5)),
         bilevel_rounds_per_batch=int(s.get("bilevel_rounds_per_batch", 2)),
@@ -196,7 +202,6 @@ def train_config(cfg: RunConfig) -> TrainConfig:
         outer_steps_per_round=int(s.get("outer_steps_per_round", 1)),
         epochs=int(s.get("epochs", 1)),
         mode=cfg.mode,
-        budget=budget,
         seed=cfg.seed,
         val_subsample=cfg.val_subsample,
         keep_traces=cfg.keep_traces,
@@ -270,11 +275,7 @@ def build_runtime(cfg: RunConfig, ledger_sink: Path | None = None,
         clock=clock,
         sink_path=ledger_sink,
     )
-    budget = Budget(
-        max_calls=cfg.budget.get("max_calls"),
-        max_cost_usd=cfg.budget.get("max_cost_usd"),
-    )
-    client = ChatClient(backend, ledger, budget=budget)
+    client = ChatClient(backend, ledger, budget=run_budget(cfg))
     return Runtime(
         client=client,
         settings=model_settings(cfg),

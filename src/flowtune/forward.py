@@ -33,13 +33,12 @@ QUESTION_HEADER = "## Original Question"
 PREVIOUS_HEADER = "## Previous Step Output"
 
 
-def render_envelope(question: str, previous_output: str, step: StepSpec | None = None) -> str:
+def render_envelope(question: str, previous_output: str) -> str:
     """Deterministic step input: question and previous output under fixed headers.
 
-    The step argument is accepted for signature stability; the envelope is
-    the same for every step so traces keep the verbatim-chain property.
+    The envelope is the same for every step so traces keep the verbatim-chain
+    property.
     """
-    del step
     return f"{QUESTION_HEADER}\n{question}\n\n{PREVIOUS_HEADER}\n{previous_output}"
 
 
@@ -133,7 +132,7 @@ def _route_decision(output_text: str, step: StepSpec) -> tuple[int | None, str |
 
 def _execute_step(rt: Runtime, state: WorkflowState, step: StepSpec, question: str,
                   previous_output: str) -> StepRecord:
-    envelope = render_envelope(question, previous_output, step)
+    envelope = render_envelope(question, previous_output)
     executor = state.executor_for(step)
     t0 = rt.clock.now()
     if executor.kind == TOOL_EXECUTOR:

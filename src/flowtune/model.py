@@ -249,61 +249,6 @@ def require_valid(state: WorkflowState, registered_tools=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Sketch diffs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SketchDiff:
-    """Difference between two sketches.
-
-    Carries the full target sketch so applying the diff is lossless; the
-    added/removed/reused fields classify the change for reporting.
-    """
-
-    added_steps: tuple[StepSpec, ...]
-    removed_steps: tuple[StepSpec, ...]
-    reused_executor_names: tuple[str, ...]
-    new_executors: dict[str, ExecutorSpec]
-    after_sketch: tuple[StepSpec, ...]
-    changed: bool
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.changed and not self.new_executors
-
-
-def diff_sketch(before: WorkflowState, after: WorkflowState) -> SketchDiff:
-    """Structural diff from `before` to `after`. Both states must be valid."""
-    require_valid(before)
-    require_valid(after)
-    before_names = {s.executor_name for s in before.sketch}
-    after_names = {s.executor_name for s in after.sketch}
-    added = tuple(s for s in after.sketch if s.executor_name not in before_names)
-    removed = tuple(s for s in before.sketch if s.executor_name not in after_names)
-    reused = tuple(sorted(n for n in after_names if n in before.executors))
-    new_execs = {n: spec for n, spec in after.executors.items() if n not in before.executors}
-    return SketchDiff(
-        added_steps=added,
-        removed_steps=removed,
-        reused_executor_names=reused,
-        new_executors=new_execs,
-        after_sketch=tuple(after.sketch),
-        changed=tuple(before.sketch) != tuple(after.sketch),
-    )
-
-
-def apply_diff(diff: SketchDiff, base: WorkflowState) -> WorkflowState:
-    """Reconstruct the diff's target sketch on top of `base`.
-
-    Executors already registered in `base` are kept as-is (the diff tracks
-    structure, not prompt edits).
-    """
-    executors = dict(base.executors)
-    executors.update(diff.new_executors)
-    return WorkflowState(sketch=diff.after_sketch, executors=executors, revision=base.revision + 1)
-
-
-# ---------------------------------------------------------------------------
 # Traces and gradients
 # ---------------------------------------------------------------------------
 

@@ -407,23 +407,6 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
     if not decision.should_update:
         return UpdateOutcome(state=state, decision=decision, applied=False)
 
-    problems: list[str] = []
-    ids = [s.step_id for s in decision.plan]
-    if ids != list(range(1, len(ids) + 1)):
-        problems.append(f"step ids not contiguous from 1: {ids}")
-    if len(decision.plan) > MAX_SKETCH_STEPS:
-        problems.append(f"{len(decision.plan)} steps exceeds cap {MAX_SKETCH_STEPS}")
-    for step in decision.plan:
-        for tool in step.tools:
-            if tool not in rt.tools.names():
-                problems.append(f"step {step.step_id}: unknown tool {tool!r}")
-        if not step.prompt and step.executor_name not in state.executors:
-            problems.append(f"step {step.step_id}: no prompt for new executor "
-                            f"{step.executor_name!r}")
-    if problems:
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error="PlanInvalid: " + "; ".join(problems))
-
     executors = dict(state.executors)
     sketch = []
     for step in decision.plan:

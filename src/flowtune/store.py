@@ -87,9 +87,6 @@ class PriceTable:
             )
         return PriceTable(prices)
 
-    def has(self, model_id: str) -> bool:
-        return model_id in self._prices
-
     def cost_micro(self, model_id: str, input_tokens: int, output_tokens: int) -> tuple[int, bool]:
         """(cost in micro-dollars rounded half-even, unknown-model flag)."""
         price = self._prices.get(model_id)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .backend import Budget, BudgetExceeded
+from .backend import BudgetExceeded
 from .evaluation import Sample, get_metric, metric_info
 from .forward import run_workflow
 from .gradients import (
@@ -52,10 +52,8 @@ class TrainConfig:
     outer_steps_per_round: int = 1
     epochs: int = 1
     mode: str = MODE_FULL
-    budget: Budget = field(default_factory=Budget)
     seed: int | None = 0
     val_subsample: int | None = None
-    recompute_inner_forward: bool = True
     keep_traces: bool = False
 
     def __post_init__(self):
@@ -65,10 +63,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.budget.max_calls is not None and self.budget.max_calls <= 0:
-            raise ValueError("budget.max_calls must be positive when set")
-        if self.budget.max_cost_usd is not None and self.budget.max_cost_usd <= 0:
-            raise ValueError("budget.max_cost_usd must be positive when set")
         if self.val_subsample is not None and self.val_subsample < 1:
             raise ValueError("val_subsample must be >= 1 when set")
 
@@ -222,14 +216,19 @@ def train(rt: Runtime, config: TrainConfig, train_set: list[Sample], val_set: li
 def _run_batch(rt: Runtime, config: TrainConfig, state: WorkflowState, batch: list[Sample],
                metric_name: str, metrics_info: str,
                sketch_revision: int) -> tuple[WorkflowState, int]:
+    questions = [s.question for s in batch]
     for _ in range(config.bilevel_rounds_per_batch):
         if config.mode in (MODE_FULL, MODE_NO_LAYERWISE):
             for _ in range(config.outer_steps_per_round):
-                state, sketch_revision = _outer_step(rt, state, batch, metric_name,
-                                                     metrics_info, sketch_revision)
+                state, sketch_revision = _structure_step(
+                    rt, state, batch, metric_name, metrics_info, sketch_revision,
+                    grad_workflow,
+                    lambda s, grads: update_workflow(rt, s, grads, questions, metrics_info))
         if config.mode == MODE_NO_BILEVEL:
-            state, sketch_revision = _combined_step(rt, state, batch, metric_name,
-                                                    metrics_info, sketch_revision)
+            state, sketch_revision = _structure_step(
+                rt, state, batch, metric_name, metrics_info, sketch_revision,
+                grad_combined,
+                lambda s, grads: update_workflow_combined(rt, s, grads, metrics_info))
             continue
         state = _inner_phase(rt, config, state, batch, metric_name, metrics_info)
     return state, sketch_revision
@@ -260,31 +259,18 @@ def _per_sample(rt: Runtime, forwards, gradient: Callable, dropped: str) -> list
     return [g for g in rt.fan_out(one, forwards) if g is not None]
 
 
-def _outer_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
-                metrics_info: str, sketch_revision: int) -> tuple[WorkflowState, int]:
+def _structure_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
+                    metrics_info: str, sketch_revision: int, gradient: Callable,
+                    update: Callable) -> tuple[WorkflowState, int]:
+    """One sketch edit: `gradient` per forwarded sample, then `update(state,
+    gradients)` on the batch. `sketch_revision` moves only when it applies."""
     gradients = _per_sample(
         rt, _forward_batch(rt, state, batch, metric_name),
         lambda view, sample, trace, result:
-            grad_workflow(view, state, trace, sample, result, metrics_info),
-        "outer gradient skipped")
+            gradient(view, state, trace, sample, result, metrics_info),
+        "structure gradient skipped")
     if gradients:
-        outcome = update_workflow(rt, state, gradients, [s.question for s in batch],
-                                  metrics_info)
-        if outcome.applied:
-            state = outcome.state
-            sketch_revision = state.revision
-    return state, sketch_revision
-
-
-def _combined_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
-                   metrics_info: str, sketch_revision: int) -> tuple[WorkflowState, int]:
-    gradients = _per_sample(
-        rt, _forward_batch(rt, state, batch, metric_name),
-        lambda view, sample, trace, result:
-            grad_combined(view, state, trace, sample, result, metrics_info),
-        "combined gradient skipped")
-    if gradients:
-        outcome = update_workflow_combined(rt, state, gradients, metrics_info)
+        outcome = update(state, gradients)
         if outcome.applied:
             state = outcome.state
             sketch_revision = state.revision
@@ -294,12 +280,9 @@ def _combined_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metri
 def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
                  batch: list[Sample], metric_name: str, metrics_info: str) -> WorkflowState:
     mode = ALL_AT_ONCE if config.mode == MODE_NO_LAYERWISE else "layerwise"
-    cached = None
     for _ in range(config.inner_steps_per_round):
-        if cached is None or config.recompute_inner_forward:
-            cached = _forward_batch(rt, state, batch, metric_name)
         per_sample_gradients: list[dict[int, TextualGradient]] = _per_sample(
-            rt, cached,
+            rt, _forward_batch(rt, state, batch, metric_name),
             lambda view, sample, trace, result:
                 backward(view, state, trace, sample, result, metrics_info, mode=mode),
             "sample dropped from inner step")

@@ -164,6 +164,13 @@ def test_call_budget_blocks_before_the_call():
     assert ledger.call_count == 2
 
 
+@pytest.mark.parametrize("bad", [{"max_calls": 0}, {"max_calls": -3},
+                                 {"max_cost_usd": 0}, {"max_cost_usd": -1}])
+def test_budget_rejects_nonpositive_caps(bad):
+    with pytest.raises(ValueError, match="must be positive"):
+        Budget(**bad)
+
+
 def test_cost_budget_allows_single_overshoot():
     prices = PriceTable({"m": Price(Decimal("1000000"), Decimal("0"))})
     client, ledger = make_client(echo_script, budget=Budget(max_cost_usd=1.0), prices=prices)
@@ -273,6 +280,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_parses_openai_shape(stub_server, monkeypatch):

@@ -91,6 +91,17 @@ def test_train_bad_config_exits_2(tmp_path, runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("budget", [{"max_calls": 0}, {"max_calls": "5"}])
+def test_train_bad_budget_exits_2_before_writing(tmp_path, runner, budget):
+    config_path = write_toy_config(tmp_path, extra={"budget": budget})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "max_calls" in result.output + str(result.stderr_bytes or b"")
+    assert not run_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ def test_settings_and_schedule_mapping(tmp_path):
     assert tcfg.batch_size == 3
     assert tcfg.inner_steps_per_round == 2
     assert tcfg.mode == "prompt_only"
-    assert tcfg.budget.max_calls == 50
     assert tcfg.val_subsample == 4
+    assert build_runtime(cfg).client.budget.max_calls == 50
 
 
 def test_deterministic_backends_get_logical_clock(tmp_path):

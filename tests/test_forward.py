@@ -98,14 +98,14 @@ def test_run_workflow_requires_valid_state():
 # ---------------------------------------------------------------------------
 
 def test_envelope_first_step_has_empty_previous_section():
-    text = render_envelope("q", "", None)
+    text = render_envelope("q", "")
     assert "q" in text
     assert text.endswith("## Previous Step Output\n")
     assert parse_envelope(text) == ("q", "")
 
 
 def test_envelope_contains_previous_output_verbatim():
-    text = render_envelope("q", "x1", None)
+    text = render_envelope("q", "x1")
     question, previous = parse_envelope(text)
     assert (question, previous) == ("q", "x1")
 
@@ -117,7 +117,7 @@ safe_text = st.text(alphabet=st.characters(whitelist_categories=("L", "N"),
 @settings(max_examples=100, deadline=None)
 @given(question=safe_text, previous=safe_text)
 def test_envelope_round_trips_arbitrary_pairs(question, previous):
-    text = render_envelope(question, previous, None)
+    text = render_envelope(question, previous)
     assert previous in text
     assert parse_envelope(text) == (question, previous)
 

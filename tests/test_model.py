@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,18 +6,15 @@ from flowtune.model import (
     TOOL_EXECUTOR,
     ExecutionTrace,
     ExecutorSpec,
-    InvalidStateError,
     Loop,
     Route,
     Sequential,
     StepRecord,
     StepSpec,
     WorkflowState,
-    apply_diff,
     control_from_json,
     control_to_json,
     deserialize_state,
-    diff_sketch,
     serialize_state,
     validate_state,
     validate_trace,
@@ -160,65 +156,8 @@ def test_unregistered_tool_only_checked_when_registry_given():
 
 
 # ---------------------------------------------------------------------------
-# Diffs
+# Generated states
 # ---------------------------------------------------------------------------
-
-def four_step_before() -> WorkflowState:
-    searcher = tool_executor("WikipediaSearch", ("wikipedia_search_topk",))
-    executors = {e.name: e for e in (
-        searcher,
-        llm_executor("AnswerExtraction"),
-        llm_executor("Verification"),
-        llm_executor("FinalAnswer"),
-    )}
-    sketch = (
-        StepSpec(1, "Wikipedia search", "WikipediaSearch", ("wikipedia_search_topk",)),
-        StepSpec(2, "Answer extraction", "AnswerExtraction"),
-        StepSpec(3, "Verification", "Verification"),
-        StepSpec(4, "Final answer", "FinalAnswer"),
-    )
-    return WorkflowState(sketch=sketch, executors=executors, revision=0)
-
-
-def test_identical_states_give_empty_diff():
-    a = chain_state(3)
-    diff = diff_sketch(a, a)
-    assert diff.is_empty
-    assert diff.added_steps == ()
-    assert diff.removed_steps == ()
-
-
-def test_four_to_six_step_diff_classification():
-    before = four_step_before()
-    after = six_step_tool_state()
-    diff = diff_sketch(before, after)
-    assert [s.step_id for s in diff.added_steps] == [2, 3]
-    assert diff.removed_steps == ()
-    assert sorted(diff.new_executors) == ["EntityDisambiguation", "TargetedRetrieval"]
-    assert len(diff.reused_executor_names) == 4
-    assert apply_diff(diff, before).sketch == after.sketch
-
-
-def test_dropped_step_appears_as_removed():
-    before = chain_state(3)
-    after = WorkflowState(
-        sketch=(
-            StepSpec(1, "step 1", "step_1"),
-            StepSpec(2, "step 3", "step_3"),
-        ),
-        executors=before.executors,
-        revision=1,
-    )
-    diff = diff_sketch(before, after)
-    assert [s.executor_name for s in diff.removed_steps] == ["step_2"]
-    assert apply_diff(diff, before).sketch == after.sketch
-
-
-def test_diff_requires_valid_states():
-    bad = WorkflowState(sketch=(StepSpec(1, "s", "Ghost"),), executors={}, revision=0)
-    with pytest.raises(InvalidStateError):
-        diff_sketch(bad, chain_state(1))
-
 
 @st.composite
 def valid_states(draw):
@@ -231,17 +170,6 @@ def valid_states(draw):
         for i in range(1, k + 1)
     )
     return WorkflowState(sketch=sketch, executors=executors, revision=draw(st.integers(0, 5)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=valid_states(), b=valid_states())
-def test_diff_apply_closure(a, b):
-    # Shared executor names must agree for the merged registry to be coherent.
-    merged = dict(a.executors)
-    merged.update(b.executors)
-    b = WorkflowState(sketch=b.sketch, executors=merged, revision=b.revision)
-    diff = diff_sketch(a, b)
-    assert apply_diff(diff, a).sketch == b.sketch
 
 
 @settings(max_examples=60, deadline=None)

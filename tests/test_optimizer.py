@@ -233,6 +233,30 @@ def test_invalid_plans_are_rejected_with_reason(plan, expected):
     assert outcome.applied is False
     assert expected.split()[0].lower() in outcome.error.lower()
     assert serialize_state(outcome.state) == before_bytes
+    assert script.count(Purpose.INIT_EXECUTOR) == 0
+
+
+def combined_step(step_id, name, prompt="a prompt", tools=None):
+    return {"step_id": step_id, "description": f"step {step_id}", "tools": tools or [],
+            "executor_name": name, "prompt": prompt}
+
+
+@pytest.mark.parametrize("plan,expected", [
+    ([combined_step(2, "step_1")], "NonContiguousStepIds"),
+    ([combined_step(i, f"n{i}") for i in range(1, 14)], "TooManySteps"),
+    ([combined_step(1, "Searcher", tools=["unknown_tool"])], "UnregisteredTool"),
+    ([combined_step(1, "Fresh", prompt="")], "EmptyPrompt"),
+])
+def test_invalid_combined_plans_are_rejected_with_reason(plan, expected):
+    script = PurposeScript({Purpose.OPTIM_WORKFLOW: lambda r: plan_reply(plan)})
+    rt = make_runtime(script, tools=registry_with_search())
+    state = chain_state(2)
+    before_bytes = serialize_state(state)
+    outcome = update_workflow_combined(rt, state, wf_grads(1), EM_INFO)
+    assert outcome.applied is False
+    assert outcome.error.startswith("PlanInvalid")
+    assert expected in outcome.error
+    assert serialize_state(outcome.state) == before_bytes
 
 
 def test_tool_kind_mismatch_rejected_for_reused_tool_executor_without_tools():
