@@ -37,7 +37,6 @@ class Purpose(str, Enum):
     OPTIM_WORKFLOW = "OptimWorkflow"
     INIT_EXECUTOR = "InitExecutor"
     BOOTSTRAP = "Bootstrap"
-    JUDGE = "Judge"
 
 
 ROLES = ("system", "user")
@@ -411,9 +410,9 @@ class Budget:
 
     def __post_init__(self):
         if self.max_calls is not None and self.max_calls <= 0:
-            raise ValueError("budget.max_calls must be positive when set")
+            raise ValueError("max_calls must be positive when set")
         if self.max_cost_usd is not None and self.max_cost_usd <= 0:
-            raise ValueError("budget.max_cost_usd must be positive when set")
+            raise ValueError("max_cost_usd must be positive when set")
 
 
 class BudgetExceeded(RuntimeError):

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import click
 
-from .config import ConfigError, build_runtime, load_config, train_config
-from .evaluation import DatasetError, get_metric, load_dataset, metric_info
-from .model import InvalidStateError, SchemaVersionMismatch
+from .config import ConfigError, RunConfig, build_runtime, load_config
+from .evaluation import DatasetError, Sample, get_metric, load_dataset, metric_info
+from .model import InvalidStateError, SchemaVersionMismatch, WorkflowState, require_valid
 from .optimizer import BootstrapFailed, bootstrap_workflow
+from .runtime import Runtime
 from .store import RunDirectory, load_checkpoint, micro_to_usd_str
-from .trainer import evaluate, make_batches, train
+from .trainer import TrainResult, evaluate, make_batches, train
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 3
@@ -36,6 +37,51 @@ def main() -> None:
     """Workflow induction and optimization runs."""
 
 
+def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
+    path = cfg.resolve(cfg.datasets[split]) if split in cfg.datasets else None
+    if path is None or not path.exists():
+        raise ConfigError(f"{split} dataset missing: {path}")
+    samples = load_dataset(path)
+    if not samples:
+        raise DatasetError(f"{split} dataset is empty: {path}")
+    return samples
+
+
+def _run(cfg: RunConfig, run_dir: Path, state0: WorkflowState | None = None,
+         replay_store: Path | None = None) -> tuple[TrainResult, Runtime]:
+    """The run that `train` and `replay` share. Loads the train and val
+    splits and builds the runtime, exiting 2 on a bad config or dataset
+    before any file is written; then writes the run directory, bootstraps
+    from the first batch unless `state0` is given, and trains, exiting 3 on
+    any failure."""
+    try:
+        train_set, val_set = _load_split(cfg, "train"), _load_split(cfg, "val")
+        rt = build_runtime(cfg, replay_override=replay_store)
+        if state0 is not None:
+            require_valid(state0, rt.tools.names())
+    except InvalidStateError as e:
+        _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
+    except (OSError, ValueError) as e:  # ConfigError, DatasetError, unreadable files
+        _fail(USAGE_EXIT, str(e))
+    try:
+        directory = RunDirectory(run_dir)
+        directory.write_config(cfg.resolved_json_obj())
+        rt.client.ledger.open_sink(directory.ledger_path)
+        if state0 is None:
+            first_batch = make_batches(train_set, cfg.schedule)[0]
+            state0 = bootstrap_workflow(rt, first_batch, get_metric(cfg.metric),
+                                        metric_info(cfg.metric))
+        result = train(rt, cfg.schedule, train_set, val_set, state0, cfg.metric,
+                       run_dir=directory)
+    except BootstrapFailed as e:
+        _fail(RUNTIME_EXIT, f"bootstrap failed: {e}")
+    except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure
+        _fail(RUNTIME_EXIT, str(e))
+    rt.client.ledger.close()
+    rt.close()
+    return result, rt
+
+
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Run config JSON.")
 @click.option("--run-dir", required=True, type=click.Path(), help="Output run directory.")
@@ -48,52 +94,18 @@ def cmd_train(config_path, run_dir, mode, seed, epochs, init_checkpoint) -> None
     """Bootstrap (unless a checkpoint is given) and run the training schedule."""
     try:
         cfg = load_config(config_path)
-        if mode is not None:
-            cfg.mode = mode
-        if seed is not None:
-            cfg.seed = seed
-        if epochs is not None:
-            cfg.schedule = {**cfg.schedule, "epochs": epochs}
-        tcfg = train_config(cfg)
-        train_path = cfg.resolve(cfg.datasets.get("train"))
-        val_path = cfg.resolve(cfg.datasets.get("val"))
-        if train_path is None or not train_path.exists():
-            raise ConfigError(f"train dataset missing: {train_path}")
-        if val_path is None or not val_path.exists():
-            raise ConfigError(f"val dataset missing: {val_path}")
-        train_set = load_dataset(train_path)
-        val_set = load_dataset(val_path)
-        get_metric(cfg.metric)
-    except (ConfigError, DatasetError, KeyError, ValueError) as e:
+        cfg.override(mode=mode, seed=seed, epochs=epochs)
+    except ConfigError as e:
         _fail(USAGE_EXIT, str(e))
+    try:
+        state0 = None if init_checkpoint is None else load_checkpoint(init_checkpoint)
+    except (OSError, KeyError, ValueError) as e:
+        _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
 
     if (Path(run_dir) / "records.jsonl").exists() or (Path(run_dir) / "ledger.jsonl").exists():
         _fail(USAGE_EXIT, f"run directory {run_dir} already holds a run; "
                           f"records and ledgers are append-only")
-    directory = RunDirectory(run_dir)
-    directory.write_config(cfg.resolved_json_obj())
-    try:
-        rt = build_runtime(cfg, ledger_sink=directory.ledger_path)
-    except ConfigError as e:
-        _fail(USAGE_EXIT, str(e))
-
-    try:
-        if init_checkpoint is not None:
-            state0 = load_checkpoint(init_checkpoint)
-        else:
-            first_batch = make_batches(train_set, tcfg)[0]
-            state0 = bootstrap_workflow(rt, first_batch, get_metric(cfg.metric),
-                                        metric_info(cfg.metric))
-        result = train(rt, tcfg, train_set, val_set, state0, cfg.metric, run_dir=directory)
-    except (SchemaVersionMismatch, InvalidStateError) as e:
-        _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
-    except BootstrapFailed as e:
-        _fail(RUNTIME_EXIT, f"bootstrap failed: {e}")
-    except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure
-        _fail(RUNTIME_EXIT, str(e))
-
-    rt.client.ledger.close()
-    rt.close()
+    result, rt = _run(cfg, Path(run_dir), state0)
     print(json.dumps({
         "best_val_score": result.best_val_score,
         "best_batch_index": result.best_batch_index,
@@ -197,43 +209,26 @@ def cmd_replay(run_dir, out_dir) -> None:
         cfg = load_config(config_path)
     except ConfigError as e:
         _fail(USAGE_EXIT, str(e))
-    replay_store = None
-    record_path = cfg.resolve(cfg.backend.get("record_path"))
-    if record_path is not None and record_path.exists():
-        replay_store = record_path
-        cfg.backend = {k: v for k, v in cfg.backend.items() if k != "record_path"}
-    elif cfg.backend.get("kind") == "http":
+    record_path = cfg.resolve(cfg.backend["record_path"])
+    replay_store = record_path if record_path is not None and record_path.exists() else None
+    if replay_store is not None:
+        cfg.backend = {**cfg.backend, "record_path": None}
+    elif cfg.backend["kind"] == "http":
         _fail(USAGE_EXIT, "run was neither recorded nor deterministic; cannot replay")
 
     target = Path(out_dir) if out_dir else Path(tempfile.mkdtemp(prefix="flowtune-replay-"))
-    cleanup = out_dir is None
     try:
-        directory = RunDirectory(target)
-        directory.write_config(cfg.resolved_json_obj())
-        rt = build_runtime(cfg, ledger_sink=directory.ledger_path, replay_override=replay_store)
-        tcfg = train_config(cfg)
-        train_set = load_dataset(cfg.resolve(cfg.datasets["train"]))
-        val_set = load_dataset(cfg.resolve(cfg.datasets["val"]))
-        first_batch = make_batches(train_set, tcfg)[0]
-        state0 = bootstrap_workflow(rt, first_batch, get_metric(cfg.metric),
-                                    metric_info(cfg.metric))
-        train(rt, tcfg, train_set, val_set, state0, cfg.metric, run_dir=directory)
-        rt.client.ledger.close()
-        rt.close()
-
-        mismatches = []
-        for name in REPLAY_FILES:
-            if (run_path / name).read_bytes() != (target / name).read_bytes():
-                mismatches.append(name)
+        _run(cfg, target, replay_store=replay_store)
+        mismatches = [name for name in REPLAY_FILES
+                      if (run_path / name).read_bytes() != (target / name).read_bytes()]
         print(json.dumps({"identical": not mismatches, "mismatched_files": mismatches}))
         if mismatches:
             sys.exit(RUNTIME_EXIT)
-    except Exception as e:  # noqa: BLE001
+    except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure
         _fail(RUNTIME_EXIT, str(e))
     finally:
-        if cleanup:
+        if out_dir is None:
             shutil.rmtree(target, ignore_errors=True)
-
 
 if __name__ == "__main__":
     main()

@@ -7,8 +7,11 @@ config can travel with its datasets, corpus, and replay store.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .backend import (
     Budget,
@@ -23,18 +26,17 @@ from .backend import (
     echo_script,
     render_fenced,
 )
+from .evaluation import METRICS
+from .model import LOOP_DONE_SENTINEL
 from .runtime import DEFAULT_CONCURRENCY, ModelSettings, Runtime
 from .store import LogicalClock, PriceTable, RunLedger, SystemClock
 from .templates import load_templates
 from .tools import CorpusIndex, ToolRegistry, load_corpus, make_corpus_search_tool
-from .trainer import MODES, TrainConfig
+from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-BACKEND_KINDS = ("scripted-mock", "http", "replay")
 
 
 def canned_script(request: ChatRequest) -> str:
@@ -73,8 +75,6 @@ def canned_script(request: ChatRequest) -> str:
             "changes_made": ["Tightened the output requirement."],
             "reasoning": "Gradients asked for a more literal final answer.",
         })
-    if request.purpose == Purpose.JUDGE:
-        return render_fenced({"score": 0.0, "feedback": "canned judge"})
     return render_fenced({"text_gradient": "Pass cleaner output to the next step."})
 
 
@@ -83,23 +83,35 @@ MOCK_SCRIPTS = {
     "canned": canned_script,
 }
 
+# Each backend kind's own keys, typed, and those of them that are required.
+BACKEND_KEYS = {
+    "scripted-mock": ({"script": str}, ()),
+    "http": ({"endpoint": str, "api_key_env": str, "timeout_s": float, "max_attempts": int},
+             ("endpoint",)),
+    "replay": ({"store_path": str, "mode": str}, ("store_path",)),
+}
+TOOL_KEYS = {"enabled": list[str], "corpus_path": str | None, "top_k_default": int}
+# A price is a JSON number or a decimal string such as "0.40", which PriceTable
+# reads exactly.
+PRICE_KEYS = {"input_per_1m": Decimal, "output_per_1m": Decimal}
+# The keys of TrainConfig that the file holds at its top level, not under "schedule".
+TRAIN_TOP_LEVEL = ("mode", "seed", "val_subsample", "keep_traces")
+
 
 @dataclass
 class RunConfig:
-    backend: dict = field(default_factory=lambda: {"kind": "scripted-mock", "script": "echo"})
-    models: dict = field(default_factory=dict)
-    prices: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    mode: str = "full"
-    budget: dict = field(default_factory=dict)
-    seed: int | None = 0
+    """A parsed config file, each section in the type that uses it."""
+
+    backend: dict
+    models: ModelSettings
+    prices: dict
+    schedule: TrainConfig
+    budget: Budget
+    tools: dict
+    datasets: dict
     metric: str = "exact_match"
-    tools: dict = field(default_factory=dict)
-    datasets: dict = field(default_factory=dict)
     templates_dir: str | None = None
-    val_subsample: int | None = None
-    keep_traces: bool = False
-    loop_sentinel: str = "VERDICT: DONE"
+    loop_sentinel: str = LOOP_DONE_SENTINEL
     concurrency: int = DEFAULT_CONCURRENCY
     base_dir: Path = field(default_factory=Path)
 
@@ -109,29 +121,18 @@ class RunConfig:
         p = Path(path)
         return p if p.is_absolute() else self.base_dir / p
 
-    def to_json_obj(self) -> dict:
-        return {
-            "backend": self.backend,
-            "models": self.models,
-            "prices": self.prices,
-            "schedule": self.schedule,
-            "mode": self.mode,
-            "budget": self.budget,
-            "seed": self.seed,
-            "metric": self.metric,
-            "tools": self.tools,
-            "datasets": self.datasets,
-            "templates_dir": self.templates_dir,
-            "val_subsample": self.val_subsample,
-            "keep_traces": self.keep_traces,
-            "loop_sentinel": self.loop_sentinel,
-            "concurrency": self.concurrency,
-        }
+    def override(self, **changes) -> None:
+        """Apply command-line overrides of schedule fields; a None leaves a
+        field as it is. The new values pass TrainConfig's own checks."""
+        self.schedule = _checked_call(replace, self.schedule,
+                                      **{k: v for k, v in changes.items() if v is not None})
 
     def resolved_json_obj(self) -> dict:
-        """to_json_obj with every path made absolute, so the copy a run
-        directory keeps stays valid wherever it is read from."""
-        obj = json.loads(json.dumps(self.to_json_obj()))
+        """The config in its file layout, with every path made absolute, so
+        the copy a run directory keeps stays valid wherever it is read from."""
+        obj = json.loads(json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                                     if f.name != "base_dir"}, default=asdict))
+        obj.update((key, obj["schedule"].pop(key)) for key in TRAIN_TOP_LEVEL)
 
         def absolutize(mapping: dict, key: str) -> None:
             if mapping.get(key):
@@ -142,12 +143,86 @@ class RunConfig:
         absolutize(obj["tools"], "corpus_path")
         for split in list(obj["datasets"]):
             absolutize(obj["datasets"], split)
-        if obj.get("templates_dir"):
-            obj["templates_dir"] = str(self.resolve(obj["templates_dir"]))
+        absolutize(obj, "templates_dir")
         return obj
 
 
+def _checked_call(fn, *args, prefix: str = "", **kwargs):
+    """fn(*args, **kwargs), with the ValueError of a range check raised as a
+    ConfigError whose message starts with prefix, the section's name."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(prefix + str(e)) from e
+
+
+def _has_type(value, hint) -> bool:
+    if hint is Decimal:
+        try:
+            return type(value) in (int, float, str) and Decimal(str(value)).is_finite()
+        except InvalidOperation:
+            return False
+    if get_origin(hint) is list:
+        return type(value) is list and all(type(v) is get_args(hint)[0] for v in value)
+    return type(value) is hint
+
+
+def _checked_value(key: str, value, hint):
+    """value if it has the type hint names, else a ConfigError naming key.
+
+    Nothing is coerced, except that an int is taken where a float is
+    expected (and becomes one); a bool is never taken for a number, and null
+    only where the hint is optional. A Decimal hint takes a finite JSON
+    number or a string that holds one, as it is.
+    """
+    options = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    if float in options and type(value) is int:
+        return float(value)
+    if not any(_has_type(value, t) for t in options):
+        names = " or ".join("null" if t is type(None) else
+                            "a decimal number" if t is Decimal else t.__name__ for t in options)
+        raise ConfigError(f"{key} must be {names}, got {json.dumps(value)}")
+    return value
+
+
+def _checked(prefix: str, obj, hints: dict, required=()) -> dict:
+    """A JSON object's entries, with each key checked against hints and each
+    value against its type. Keys left out stay out, so the type that takes
+    the entries supplies their defaults."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
+    unknown = [prefix + key for key in obj if key not in hints]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    missing = [prefix + key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
+    return {key: _checked_value(prefix + key, value, hints[key]) for key, value in obj.items()}
+
+
+def _parse_backend(obj) -> dict:
+    if type(obj) is not dict or obj.get("kind") not in BACKEND_KEYS:
+        raise ConfigError(f"backend.kind must be one of {tuple(BACKEND_KEYS)}")
+    keys, required = BACKEND_KEYS[obj["kind"]]
+    backend = {"record_path": None, **_checked(
+        "backend.", obj, {"kind": str, "record_path": str | None, **keys}, required)}
+    kind = backend["kind"]
+    if kind == "scripted-mock":
+        backend = {"script": "echo", **backend}
+        if backend["script"] not in MOCK_SCRIPTS:
+            raise ConfigError(f"unknown scripted-mock script {backend['script']!r}; "
+                              f"available: {sorted(MOCK_SCRIPTS)}")
+    if kind == "http" and not backend["endpoint"]:
+        raise ConfigError("backend.endpoint is required for kind 'http'")
+    if "mode" in backend and backend["mode"] != REPLAY:
+        raise ConfigError("replay backends in config files run in replay mode; "
+                          "use record_path on another backend to record")
+    return backend
+
+
 def load_config(path: str | Path) -> RunConfig:
+    """Parse a config file into the types that use it. Unknown keys, values
+    of the wrong type and values out of range raise ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -155,130 +230,83 @@ def load_config(path: str | Path) -> RunConfig:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {f for f in RunConfig.__dataclass_fields__ if f != "base_dir"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**{k: v for k, v in obj.items()}, base_dir=path.parent.resolve())
-    if cfg.backend.get("kind") not in BACKEND_KINDS:
-        raise ConfigError(f"backend.kind must be one of {BACKEND_KINDS}")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if isinstance(cfg.concurrency, bool) or not isinstance(cfg.concurrency, int) \
-            or cfg.concurrency < 1:
-        raise ConfigError(f"concurrency must be an integer >= 1, got {cfg.concurrency!r}")
-    run_budget(cfg)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    train_hints = get_type_hints(TrainConfig)
+    top_level = {name: dict if is_dataclass(hint) else hint
+                 for name, hint in get_type_hints(RunConfig).items() if name != "base_dir"}
+    top = _checked("", obj, {**top_level, **{key: train_hints[key] for key in TRAIN_TOP_LEVEL}})
+
+    def section(name: str, hints: dict) -> dict:
+        return _checked(f"{name}.", top.pop(name, {}), hints)
+
+    schedule = section("schedule", {k: v for k, v in train_hints.items()
+                                    if k not in TRAIN_TOP_LEVEL})
+    schedule.update((key, top.pop(key)) for key in TRAIN_TOP_LEVEL if key in top)
+    cfg = RunConfig(
+        backend=_parse_backend(top.pop("backend", {"kind": "scripted-mock"})),
+        models=_checked_call(ModelSettings, prefix="models.",
+                             **section("models", get_type_hints(ModelSettings))),
+        prices={model: _checked(f"prices.{model}.", row, PRICE_KEYS, tuple(PRICE_KEYS))
+                for model, row in top.pop("prices", {}).items()},
+        schedule=_checked_call(TrainConfig, **schedule),
+        budget=_checked_call(Budget, prefix="budget.",
+                             **section("budget", get_type_hints(Budget))),
+        tools={"enabled": [], "corpus_path": None, **section("tools", TOOL_KEYS)},
+        # Split name to path. train and val are read; other splits are kept
+        # in the run's config.json and otherwise ignored.
+        datasets=section("datasets", dict.fromkeys(top.get("datasets", {}), str | None)),
+        base_dir=path.parent.resolve(),
+        **top,
+    )
+    if cfg.metric not in METRICS:
+        raise ConfigError(f"unknown metric {cfg.metric!r}; available: {sorted(METRICS)}")
     return cfg
-
-
-def run_budget(cfg: RunConfig) -> Budget:
-    """The client's call and cost cap, the run's only budget."""
-    try:
-        return Budget(max_calls=cfg.budget.get("max_calls"),
-                      max_cost_usd=cfg.budget.get("max_cost_usd"))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad budget {cfg.budget!r}: {e}") from e
-
-
-def model_settings(cfg: RunConfig) -> ModelSettings:
-    m = cfg.models
-    return ModelSettings(
-        executor_model=m.get("executor_model", "executor"),
-        meta_model=m.get("meta_model", "meta"),
-        executor_temperature=float(m.get("executor_temperature", 0.2)),
-        meta_temperature=float(m.get("meta_temperature", 0.0)),
-        max_output_tokens=int(m.get("max_output_tokens", 4096)),
-    )
-
-
-def train_config(cfg: RunConfig) -> TrainConfig:
-    s = cfg.schedule
-    return TrainConfig(
-        batch_size=int(s.get("batch_size", 5)),
-        bilevel_rounds_per_batch=int(s.get("bilevel_rounds_per_batch", 2)),
-        inner_steps_per_round=int(s.get("inner_steps_per_round", 5)),
-        outer_steps_per_round=int(s.get("outer_steps_per_round", 1)),
-        epochs=int(s.get("epochs", 1)),
-        mode=cfg.mode,
-        seed=cfg.seed,
-        val_subsample=cfg.val_subsample,
-        keep_traces=cfg.keep_traces,
-    )
 
 
 def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
     registry = ToolRegistry()
-    tool_cfg = cfg.tools or {}
-    enabled = tool_cfg.get("enabled", [])
-    if enabled:
-        corpus_path = cfg.resolve(tool_cfg.get("corpus_path"))
+    if cfg.tools["enabled"]:
+        corpus_path = cfg.resolve(cfg.tools["corpus_path"])
         if corpus_path is None or not corpus_path.exists():
             raise ConfigError(f"tools.corpus_path missing or not found: {corpus_path}")
         index = CorpusIndex(load_corpus(corpus_path))
-        default_k = int(tool_cfg.get("top_k_default", 5))
-        for name in enabled:
-            spec, fn = make_corpus_search_tool(index, name=str(name), default_k=default_k)
-            registry.register(spec, fn)
+        # Left out, the search tool's own default k applies.
+        k = {"default_k": cfg.tools["top_k_default"]} if "top_k_default" in cfg.tools else {}
+        for name in cfg.tools["enabled"]:
+            registry.register(*make_corpus_search_tool(index, name=name, **k))
     return registry
 
 
 def _build_backend(cfg: RunConfig, replay_override: Path | None = None):
     """Returns (backend, deterministic). Deterministic backends get a logical
     clock so repeat runs emit byte-identical files."""
-    b = cfg.backend
-    kind = b.get("kind")
     if replay_override is not None:
         return ReplayBackend(replay_override, REPLAY), True
+    args = dict(cfg.backend)
+    kind = args.pop("kind")
+    record_path = cfg.resolve(args.pop("record_path"))
     if kind == "scripted-mock":
-        script_name = b.get("script", "echo")
-        script = MOCK_SCRIPTS.get(script_name)
-        if script is None:
-            raise ConfigError(f"unknown scripted-mock script {script_name!r}; "
-                              f"available: {sorted(MOCK_SCRIPTS)}")
-        backend, deterministic = ScriptedMockBackend(script), True
+        backend = ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
     elif kind == "http":
-        endpoint = b.get("endpoint")
-        if not endpoint:
-            raise ConfigError("backend.endpoint is required for kind 'http'")
-        backend, deterministic = HttpBackend(
-            endpoint=endpoint,
-            api_key_env=b.get("api_key_env", ""),
-            timeout_s=float(b.get("timeout_s", 60.0)),
-            max_attempts=int(b.get("max_attempts", 3)),
-        ), False
-    elif kind == "replay":
-        store = cfg.resolve(b.get("store_path"))
-        if store is None:
-            raise ConfigError("backend.store_path is required for kind 'replay'")
-        mode = b.get("mode", REPLAY)
-        if mode != REPLAY:
-            raise ConfigError("replay backends in config files run in replay mode; "
-                              "use record_path on another backend to record")
-        backend, deterministic = ReplayBackend(store, REPLAY), True
+        backend = HttpBackend(**args)
     else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
-
-    record_path = cfg.resolve(b.get("record_path"))
+        backend = ReplayBackend(cfg.resolve(args["store_path"]), REPLAY)
     if record_path is not None:
         backend = ReplayBackend(record_path, RECORD, inner=backend)
-    return backend, deterministic
+    return backend, kind != "http"
 
 
-def build_runtime(cfg: RunConfig, ledger_sink: Path | None = None,
-                  replay_override: Path | None = None) -> Runtime:
+def build_runtime(cfg: RunConfig, replay_override: Path | None = None) -> Runtime:
+    """The run's runtime. Its ledger has no sink yet, so a ConfigError here
+    comes before any file is written."""
     backend, deterministic = _build_backend(cfg, replay_override)
     clock = LogicalClock() if deterministic else SystemClock()
-    ledger = RunLedger(
-        prices=PriceTable.from_config(cfg.prices),
-        clock=clock,
-        sink_path=ledger_sink,
-    )
-    client = ChatClient(backend, ledger, budget=run_budget(cfg))
-    return Runtime(
-        client=client,
-        settings=model_settings(cfg),
+    ledger = RunLedger(prices=PriceTable.from_config(cfg.prices), clock=clock)
+    return _checked_call(
+        Runtime,
+        client=ChatClient(backend, ledger, budget=cfg.budget),
+        settings=cfg.models,
         templates=load_templates(cfg.resolve(cfg.templates_dir)),
         tools=build_tool_registry(cfg),
         clock=clock,

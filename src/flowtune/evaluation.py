@@ -8,8 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backend import ChatClient, JsonRetryExhausted, Purpose
-
 ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -35,7 +33,6 @@ class Sample:
     id: str
     question: str
     answer: str
-    context: str | None = None
 
 
 @dataclass(frozen=True)
@@ -148,51 +145,6 @@ def load_dataset(path: str | Path) -> list[Sample]:
                 id=sample_id,
                 question=str(row["question"]),
                 answer=str(row["answer"]),
-                context=str(row["context"]) if "context" in row and row["context"] is not None else None,
             ))
     return samples
 
-
-JUDGE_SYSTEM = (
-    "You are grading a model answer against a reference answer using the given "
-    "rubric. Output valid JSON only."
-)
-
-JUDGE_USER = """\
-## Rubric
-{rubric}
-
-## Reference Answer
-{truth}
-
-## Model Answer
-{prediction}
-
-Respond in JSON:
-```json
-{{"score": <number between 0 and 1>, "feedback": "<one-paragraph justification>"}}
-```"""
-
-
-def judge(client: ChatClient, model_id: str, prediction: str, truth: str, rubric: str,
-          temperature: float = 0.0, max_output_tokens: int = 1024) -> EvalResult:
-    """LLM-graded metric backed by the backend abstraction. Not a default metric."""
-    from .backend import ChatRequest, Message
-
-    request = ChatRequest(
-        model_id=model_id,
-        messages=(
-            Message("system", JUDGE_SYSTEM),
-            Message("user", JUDGE_USER.format(rubric=rubric, truth=truth, prediction=prediction)),
-        ),
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-        purpose=Purpose.JUDGE,
-    )
-    try:
-        obj = client.complete_json(request)
-        score = max(0.0, min(1.0, float(obj["score"])))
-        feedback = str(obj.get("feedback", ""))
-    except (JsonRetryExhausted, KeyError, TypeError, ValueError):
-        return EvalResult("judge", 0.0, "judge = 0.0. The judge reply could not be parsed.")
-    return EvalResult("judge", score, f"judge = {score:.4f}. {feedback}")

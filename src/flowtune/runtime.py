@@ -28,6 +28,13 @@ class ModelSettings:
     meta_temperature: float = 0.0
     max_output_tokens: int = 4096
 
+    def __post_init__(self):
+        for name in ("executor_temperature", "meta_temperature"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.max_output_tokens <= 0:
+            raise ValueError("max_output_tokens must be positive")
+
 
 DEFAULT_CONCURRENCY = 8
 

@@ -145,7 +145,13 @@ class RunLedger:
         self.clock = clock or SystemClock()
         self._rows: list[LedgerRow] = []
         self._cost_micro = 0
-        self._sink = open(sink_path, "a", encoding="utf-8") if sink_path else None
+        self._sink = None
+        if sink_path:
+            self.open_sink(sink_path)
+
+    def open_sink(self, path: str | Path) -> None:
+        """Append every row from here on to the file at path."""
+        self._sink = open(path, "a", encoding="utf-8")
 
     def record_call(self, purpose: str, model_id: str, input_tokens: int,
                     output_tokens: int) -> LedgerRow:

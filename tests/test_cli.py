@@ -71,6 +71,17 @@ def test_train_missing_dataset_exits_2_naming_path(tmp_path, runner):
     assert "train.jsonl" in result.output + str(result.stderr_bytes or b"")
 
 
+def test_train_empty_split_exits_2_before_any_call(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    (tmp_path / "val.jsonl").write_text("")
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "val dataset is empty" in result.output + str(result.stderr_bytes or b"")
+    assert not run_dir.exists()
+
+
 def test_train_prompt_only_keeps_revision_constant(tmp_path, runner):
     config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -335,3 +346,98 @@ def test_train_refuses_to_reuse_a_run_directory(tmp_path, runner):
     again = runner.invoke(main, ["train", "--config", str(config_path),
                                  "--run-dir", str(run_dir)])
     assert again.exit_code == 2
+
+
+def test_config_error_leaves_no_run_that_blocks_a_retry(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, extra={
+        "tools": {"enabled": ["search_topk"], "corpus_path": "missing.jsonl"}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "corpus_path" in result.output + str(result.stderr_bytes or b"")
+    assert not (run_dir / "ledger.jsonl").exists()
+    config_path = write_toy_config(tmp_path)
+    retry = runner.invoke(main, ["train", "--config", str(config_path),
+                                 "--run-dir", str(run_dir)])
+    assert retry.exit_code == 0, retry.output
+
+
+def test_bad_init_checkpoint_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    checkpoint = tmp_path / "init.json"
+    checkpoint.write_text('{"schema_version": 99}')
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir),
+                                  "--init-checkpoint", str(checkpoint)])
+    assert result.exit_code == 2
+    assert not run_dir.exists()
+
+
+def test_replay_with_a_missing_split_exits_2_naming_it(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, record=True)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    (tmp_path / "val.jsonl").unlink()
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "val dataset missing" in result.output + str(result.stderr_bytes or b"")
+
+
+def test_replay_reads_the_config_layout_of_earlier_versions(tmp_path, runner):
+    """Run directories keep the config as written then: sections hold only
+    the keys the user gave, defaults are left out, prices may be decimal
+    strings and datasets may name splits a run does not read."""
+    config_path = write_toy_config(tmp_path, record=True)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir), "--epochs", "2"]).exit_code == 0
+    base = tmp_path.resolve()
+    (run_dir / "config.json").write_text(json.dumps({
+        "backend": {"kind": "scripted-mock", "record_path": str(base / "store.jsonl"),
+                    "script": "canned"},
+        "budget": {},
+        "concurrency": 8,
+        "datasets": {"train": str(base / "train.jsonl"), "val": str(base / "val.jsonl"),
+                     "dev": str(base / "dev.jsonl")},
+        "keep_traces": False,
+        "loop_sentinel": "VERDICT: DONE",
+        "metric": "exact_match",
+        "mode": "full",
+        "models": {"executor_model": "exe-toy", "meta_model": "meta-toy"},
+        "prices": {"exe-toy": {"input_per_1m": "0.40", "output_per_1m": "1.60"},
+                   "meta-toy": {"input_per_1m": 0.4, "output_per_1m": 1.6}},
+        "schedule": {"batch_size": 2, "bilevel_rounds_per_batch": 1, "epochs": 2,
+                     "inner_steps_per_round": 2, "outer_steps_per_round": 1},
+        "seed": 3,
+        "templates_dir": None,
+        "tools": {},
+        "val_subsample": None,
+    }, indent=2, sort_keys=True))
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, runner):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b'{"seed": "\xff"}')
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    output = result.output + str(result.stderr_bytes or b"")
+    assert "cannot read config file" in output
+    assert "invalid checkpoint" not in output
+
+
+def test_unreadable_split_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    (tmp_path / "val.jsonl").unlink()
+    (tmp_path / "val.jsonl").mkdir()
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert not run_dir.exists()

@@ -2,20 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtune.backend import Purpose
 from flowtune.evaluation import (
     DatasetParseError,
     DuplicateIdError,
     Sample,
     exact_match,
-    judge,
     load_dataset,
     metric_info,
     normalize_answer,
     token_f1,
 )
-
-from .helpers import fenced, make_runtime
 
 
 def test_exact_match_mismatch_names_both_normalized_strings():
@@ -95,8 +91,6 @@ def test_load_dataset_in_file_order(tmp_path):
     )
     samples = load_dataset(path)
     assert [s.id for s in samples] == ["b", "a", "c"]
-    assert samples[1].context == "ctx"
-    assert samples[0].context is None
 
 
 def test_missing_answer_names_the_line(tmp_path):
@@ -127,26 +121,6 @@ def test_invalid_json_names_the_line(tmp_path):
     with pytest.raises(DatasetParseError) as e:
         load_dataset(path)
     assert e.value.line_no == 2
-
-
-# ---------------------------------------------------------------------------
-# Judge interface
-# ---------------------------------------------------------------------------
-
-def test_judge_parses_score_and_ledgers_with_judge_tag():
-    rt = make_runtime(lambda request: fenced({"score": 0.75, "feedback": "close enough"}))
-    result = judge(rt.client, "meta", "pred", "truth", rubric="grade 0..1")
-    assert result.metric_name == "judge"
-    assert result.score == 0.75
-    assert "close enough" in result.feedback
-    assert rt.client.ledger.purposes_in_order() == [Purpose.JUDGE.value]
-
-
-def test_judge_clamps_and_survives_garbage():
-    rt = make_runtime(lambda request: fenced({"score": 7}))
-    assert judge(rt.client, "meta", "p", "t", "r").score == 1.0
-    rt = make_runtime(lambda request: "not json at all")
-    assert judge(rt.client, "meta", "p", "t", "r").score == 0.0
 
 
 def test_sample_is_frozen():
