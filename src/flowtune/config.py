@@ -280,7 +280,8 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
 
 def _build_backend(cfg: RunConfig, replay_override: Path | None = None):
     """Returns (backend, deterministic). Deterministic backends get a logical
-    clock so repeat runs emit byte-identical files."""
+    clock so repeat runs emit byte-identical files. A recorded live run counts
+    as deterministic, because its replay must write the same files."""
     if replay_override is not None:
         return ReplayBackend(replay_override, REPLAY), True
     args = dict(cfg.backend)
@@ -289,12 +290,12 @@ def _build_backend(cfg: RunConfig, replay_override: Path | None = None):
     if kind == "scripted-mock":
         backend = ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
     elif kind == "http":
-        backend = HttpBackend(**args)
+        backend = _checked_call(HttpBackend, prefix="backend.", **args)
     else:
         backend = ReplayBackend(cfg.resolve(args["store_path"]), REPLAY)
     if record_path is not None:
         backend = ReplayBackend(record_path, RECORD, inner=backend)
-    return backend, kind != "http"
+    return backend, kind != "http" or record_path is not None
 
 
 def build_runtime(cfg: RunConfig, replay_override: Path | None = None) -> Runtime:

@@ -104,10 +104,12 @@ class Runtime:
         return results
 
     def close(self) -> None:
-        """Stop the fan-out's worker threads; a later fan-out starts new ones."""
+        """Stop the fan-out's worker threads and close the backend's
+        connections; a later fan-out or call opens new ones."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        getattr(self.client.backend, "close", lambda: None)()
 
     def executor_request(self, system: str, user: str, purpose: Purpose = Purpose.FORWARD,
                          extra_messages: tuple[Message, ...] = ()) -> ChatRequest:

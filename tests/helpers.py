@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import sys
+import threading
+import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from flowtune.backend import (
@@ -110,3 +117,130 @@ class FakeSample:
         self.id = sample_id
         self.question = question
         self.answer = answer
+
+
+# ---------------------------------------------------------------------------
+# Loopback OpenAI-shaped chat-completions server
+# ---------------------------------------------------------------------------
+
+DROP = object()    # close the connection without a reply
+CLOSE = object()   # reply 200 with "Connection: close", then close
+HANGUP = object()  # reply 200 as if kept alive, then close
+BROKEN = object()  # reply 200 with a body that is not JSON
+SLOW = object()    # reply 200 after half a second
+
+
+def words(text: str) -> int:
+    return len(text.split())
+
+
+class ChatStub(ThreadingHTTPServer):
+    """Answers `POST .../chat/completions` on 127.0.0.1, kept alive.
+
+    Each chat request takes the next outcome of `script`: an HTTP status,
+    DROP, CLOSE, HANGUP, BROKEN or SLOW; once the script runs out, 200. A
+    200 carries `reply(body)` as its content and whitespace-word token
+    usage. Every request, a proxy's CONNECT included, is logged in
+    `requests`; `connections` counts accepted connections and `hung_up` is
+    set when the server has closed one.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, reply: Callable[[dict], str] = lambda body: "stubbed reply text"):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.reply = reply
+        self.script: list = []
+        self.requests: list[dict] = []
+        self.connections = 0
+        self.hung_up = threading.Event()
+        self.lock = threading.Lock()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}"
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that stopped waiting (a timeout test) is expected.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.hung_up.set()
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: ChatStub
+
+    def setup(self):
+        super().setup()
+        # Headers and body go out in two writes; without this, the second
+        # waits for the client's delayed ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.server.lock:
+            self.server.connections += 1
+
+    def _log(self, body=None):
+        with self.server.lock:
+            self.server.requests.append({"method": self.command, "path": self.path,
+                                         "headers": dict(self.headers), "body": body})
+            return self.server.script.pop(0) if self.server.script else 200
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        outcome = self._log(body)
+        if outcome is DROP:
+            self.close_connection = True
+            return
+        if outcome is SLOW:
+            time.sleep(0.5)
+        status = outcome if isinstance(outcome, int) else 200
+        payload = {"error": {"message": "scripted failure"}}
+        if status == 200:
+            content = self.server.reply(body)
+            payload = {"choices": [{"message": {"role": "assistant", "content": content}}],
+                       "usage": {"prompt_tokens": sum(words(m["content"])
+                                                      for m in body["messages"]),
+                                 "completion_tokens": words(content)}}
+        data = b"<html>not json</html>" if outcome is BROKEN else json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if outcome is CLOSE:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+        if outcome is HANGUP:
+            self.close_connection = True
+
+    def do_CONNECT(self):
+        self._log()
+        self.send_error(502, "no tunnels here")
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def chat_stub(**kwargs):
+    """A running ChatStub(**kwargs), shut down on exit."""
+    server = ChatStub(**kwargs)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def clear_proxy_env(monkeypatch) -> None:
+    """Unset every proxy variable, so HTTP backends built afterwards connect
+    directly."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)

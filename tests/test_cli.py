@@ -4,9 +4,13 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from flowtune.backend import ChatRequest, Message, Purpose
 from flowtune.cli import main
+from flowtune.config import canned_script
+from flowtune.templates import TEMPLATE_NAMES, load_templates
 
 from . import golden_scenario as G
+from .helpers import chat_stub, clear_proxy_env
 from .test_golden_replay import golden_run  # noqa: F401 - reused fixture
 
 
@@ -92,6 +96,17 @@ def test_train_prompt_only_keeps_revision_constant(tmp_path, runner):
                  for line in (run_dir / "records.jsonl").read_text().splitlines()]
     assert len(revisions) == 2
     assert len(set(revisions)) == 1
+
+
+def test_train_http_bad_max_attempts_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, extra={"backend": {
+        "kind": "http", "endpoint": "http://127.0.0.1:9", "max_attempts": 0}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "backend.max_attempts" in result.output + str(result.stderr_bytes or b"")
+    assert not (run_dir / "ledger.jsonl").exists()
 
 
 def test_train_bad_config_exits_2(tmp_path, runner):
@@ -301,6 +316,38 @@ def test_replay_detects_tampered_outputs(tmp_path, runner):
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 3
     assert "records.jsonl" in result.output
+
+
+def canned_reply(body: dict) -> str:
+    """`canned_script`'s reply to a request that came over HTTP, which does
+    not carry the purpose: it is read back from the system prompt."""
+    templates = load_templates()
+    structural = {templates.get(name).system: purpose for name, purpose in (
+        ("grad_workflow", Purpose.GRAD_WORKFLOW), ("optim_workflow", Purpose.OPTIM_WORKFLOW),
+        ("optim_call", Purpose.OPTIM_CALL))}
+    meta = {templates.get(name).system for name in TEMPLATE_NAMES}
+    messages = tuple(Message(m["role"], m["content"]) for m in body["messages"])
+    system = messages[0].content if messages[0].role == "system" else None
+    purpose = structural.get(system, Purpose.GRAD_LOSS if system in meta else Purpose.FORWARD)
+    return canned_script(ChatRequest(body["model"], messages, body["temperature"],
+                                     body["max_tokens"], purpose))
+
+
+def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatch):
+    clear_proxy_env(monkeypatch)
+    with chat_stub(reply=canned_reply) as stub:
+        config_path = write_toy_config(tmp_path, extra={"backend": {
+            "kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"}})
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(config_path),
+                                      "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+    summary = json.loads(result.output.strip().splitlines()[-1])
+    assert summary["best_val_score"] == 1.0
+    assert summary["api_calls"] == len(stub.requests)
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
 
 
 def test_replay_requires_complete_run_dir(tmp_path, runner):
