@@ -9,6 +9,7 @@ emitted files byte-identical across repeat runs.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -199,18 +200,11 @@ class RunLedger:
     def total_cost_micro(self) -> int:
         return self._cost_micro
 
-    @property
-    def total_cost_usd(self) -> Decimal:
-        return Decimal(self.total_cost_micro) * MICRO
-
     def count_by_purpose(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for row in self.rows:
             counts[row.purpose] = counts.get(row.purpose, 0) + 1
         return counts
-
-    def purposes_in_order(self) -> list[str]:
-        return [r.purpose for r in self.rows]
 
     def close(self) -> None:
         if self._sink is not None:
@@ -222,9 +216,25 @@ class RunLedger:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def _replace_file(path: str | Path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then move it into place.
+
+    A crash or a failed write leaves the previous file whole: a reader sees
+    either the old content or the new, never a truncated file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(state: model.WorkflowState, path: str | Path) -> None:
     model.require_valid(state)
-    Path(path).write_text(model.serialize_state(state), encoding="utf-8")
+    _replace_file(path, model.serialize_state(state).encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path) -> model.WorkflowState:
@@ -272,8 +282,7 @@ class RunDirectory:
 
     def promote_best(self, batch_index: int) -> None:
         # Byte copy keeps best.json hash-equal to the source checkpoint.
-        data = self.checkpoint_path(batch_index).read_bytes()
-        self.best_path.write_bytes(data)
+        _replace_file(self.best_path, self.checkpoint_path(batch_index).read_bytes())
 
     def append_record_line(self, line: str) -> None:
         with open(self.records_path, "a", encoding="utf-8") as f:
@@ -286,4 +295,4 @@ class RunDirectory:
         path.write_text(model.canonical_json(model.trace_to_json_obj(trace)), encoding="utf-8")
 
     def write_config(self, obj: dict) -> None:
-        (self.root / "config.json").write_text(model.canonical_json(obj), encoding="utf-8")
+        _replace_file(self.root / "config.json", model.canonical_json(obj).encode("utf-8"))

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -62,8 +63,11 @@ class SearchHit:
     score: float
 
 
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
 def tokenize(text: str) -> list[str]:
-    return re.findall(r"[a-z0-9]+", text.lower())
+    return _TOKEN_RE.findall(text.lower())
 
 
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
@@ -86,52 +90,70 @@ def load_corpus(path: str | Path) -> list[CorpusDoc]:
 class CorpusIndex:
     """Deterministic tf-idf ranking with document-length normalization.
 
-    Scores depend only on document content and ids, never on file order, so
-    shuffling corpus rows cannot change a ranking.
+    A document's score for a query is the sum, over the query's terms in
+    query order (repeats included), of tf * log(1 + n / df), divided by the
+    document's token count (at least 1). Ties rank by doc id.
+
+    The index is inverted: each term maps to its postings, the indices of
+    the documents that contain it and the term's count in each. A query
+    scores only the union of its terms' postings, adding the terms in query
+    order so that every score is the same float a scan of the whole corpus
+    computes. Documents are held in doc-id order, so an index comparison is
+    the doc-id tie-break, and the file order of the corpus cannot change a
+    ranking. The index is read-only once built, so threads may share it.
     """
 
     def __init__(self, docs: list[CorpusDoc]):
-        self.docs = list(docs)
-        self._doc_tokens = {d.doc_id: tokenize(d.title + " " + d.body) for d in docs}
-        self._doc_counts = {}
-        self._df: dict[str, int] = {}
-        for d in docs:
-            counts: dict[str, int] = {}
-            for t in self._doc_tokens[d.doc_id]:
-                counts[t] = counts.get(t, 0) + 1
-            self._doc_counts[d.doc_id] = counts
-            for t in counts:
-                self._df[t] = self._df.get(t, 0) + 1
+        self.docs = sorted(docs, key=attrgetter("doc_id"))
+        for prev, doc in zip(self.docs, self.docs[1:]):
+            if prev.doc_id == doc.doc_id:
+                raise DuplicateDocId(f"doc_id {doc.doc_id!r} repeated")
+        # term -> (indices of the documents that contain it, ascending; the
+        # term's count in each). Documents are added in order, so a term seen
+        # before in this document is the last entry of its posting.
+        postings: dict[str, tuple[list[int], list[int]]] = {}
+        lengths: list[int] = []
+        for i, doc in enumerate(self.docs):
+            tokens = tokenize(doc.title + " " + doc.body)
+            lengths.append(max(1, len(tokens)))
+            for term in tokens:
+                posting = postings.get(term)
+                if posting is None:
+                    postings[term] = ([i], [1])
+                elif posting[0][-1] == i:
+                    posting[1][-1] += 1
+                else:
+                    posting[0].append(i)
+                    posting[1].append(1)
+        n = len(self.docs)
+        self._postings = postings
+        self._lengths = lengths
+        self._idf = {term: math.log(1.0 + n / len(ids)) for term, (ids, _) in postings.items()}
 
     def search_topk(self, query: str, k: int) -> list[SearchHit]:
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self.docs:
             raise EmptyCorpusError("corpus is empty")
-        terms = tokenize(query)
-        n = len(self.docs)
-
-        def scored():
-            for doc in self.docs:
-                counts = self._doc_counts[doc.doc_id]
-                length = max(1, len(self._doc_tokens[doc.doc_id]))
-                score = 0.0
-                for t in terms:
-                    tf = counts.get(t, 0)
-                    if tf == 0:
-                        continue
-                    idf = math.log(1.0 + n / self._df[t])
-                    score += tf * idf
-                score /= length
-                if score > 0.0:
-                    yield score, doc
-
-        # A k-sized heap instead of sorting every matching document.
-        top = heapq.nsmallest(k, scored(), key=lambda item: (-item[0], item[1].doc_id))
-        return [
-            SearchHit(doc_id=d.doc_id, title=d.title, snippet=d.body[:SNIPPET_CHARS], score=s)
-            for s, d in top
-        ]
+        partial: dict[int, float] = {}
+        get = partial.get
+        for term in tokenize(query):
+            posting = self._postings.get(term)
+            if posting is None:
+                continue
+            idf = self._idf[term]
+            for i, tf in zip(*posting):
+                partial[i] = get(i, 0.0) + tf * idf
+        lengths = self._lengths
+        # Every matched score is > 0 (tf >= 1, idf >= log 2). A k-sized heap
+        # on (-score, index) instead of sorting every matching document.
+        top = heapq.nsmallest(k, [(-(s / lengths[i]), i) for i, s in partial.items()])
+        hits = []
+        for neg, i in top:
+            d = self.docs[i]
+            hits.append(SearchHit(doc_id=d.doc_id, title=d.title,
+                                  snippet=d.body[:SNIPPET_CHARS], score=-neg))
+        return hits
 
 
 def render_hits(hits: list[SearchHit]) -> str:

