@@ -9,8 +9,8 @@ Run with:  python3 demos/03_corpus_search_tool.py
 
 import json
 
-from flowtune import ChatClient, CorpusIndex, LogicalClock, RunLedger, ToolRegistry
-from flowtune import ScriptedMockBackend, make_corpus_search_tool
+from flowtune import ChatClient, CorpusIndex, LogicalClock, ModelSettings, RunLedger, Runtime
+from flowtune import ScriptedMockBackend, ToolRegistry, make_corpus_search_tool
 from flowtune.model import TOOL_EXECUTOR, ExecutorSpec
 from flowtune.tools import CorpusDoc, run_tool_step
 
@@ -54,10 +54,10 @@ executor = ExecutorSpec(
     tool_names=("search_topk",),
 )
 client = ChatClient(ScriptedMockBackend(scripted_model), RunLedger(clock=LogicalClock()))
-outcome = run_tool_step(client, registry, executor, ("search_topk",),
+rt = Runtime(client, ModelSettings(executor_model="demo", max_output_tokens=256), tools=registry)
+outcome = run_tool_step(rt, executor, ("search_topk",),
                         "## Original Question\nWhen was Bucknell University founded?"
-                        "\n\n## Previous Step Output\n",
-                        model_id="demo", temperature=0.2, max_output_tokens=256)
+                        "\n\n## Previous Step Output\n")
 
 print("\ntool-step outcome:")
 print(f"  final answer : {outcome.output_text}")

@@ -20,7 +20,13 @@ from .evaluation import DatasetError, Sample, get_metric, load_dataset, metric_i
 from .model import InvalidStateError, SchemaVersionMismatch, WorkflowState, require_valid
 from .optimizer import BootstrapFailed, bootstrap_workflow
 from .runtime import Runtime
-from .store import RunDirectory, load_checkpoint, micro_to_usd_str
+from .store import (
+    INIT_CHECKPOINT,
+    RunDirectory,
+    load_checkpoint,
+    micro_to_usd_str,
+    write_checkpoint,
+)
 from .trainer import TrainResult, evaluate, make_batches, train
 
 USAGE_EXIT = 2
@@ -47,16 +53,16 @@ def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
     return samples
 
 
-def _run(cfg: RunConfig, run_dir: Path, state0: WorkflowState | None = None,
-         replay_store: Path | None = None) -> tuple[TrainResult, Runtime]:
+def _run(cfg: RunConfig, run_dir: Path,
+         state0: WorkflowState | None = None) -> tuple[TrainResult, Runtime]:
     """The run that `train` and `replay` share. Loads the train and val
     splits and builds the runtime, exiting 2 on a bad config or dataset
     before any file is written; then writes the run directory, bootstraps
-    from the first batch unless `state0` is given, and trains, exiting 3 on
-    any failure."""
+    from the first batch unless `state0` is given (and kept in the run
+    directory), and trains, exiting 3 on any failure."""
     try:
         train_set, val_set = _load_split(cfg, "train"), _load_split(cfg, "val")
-        rt = build_runtime(cfg, replay_override=replay_store)
+        rt = build_runtime(cfg)
         if state0 is not None:
             require_valid(state0, rt.tools.names())
     except InvalidStateError as e:
@@ -67,7 +73,9 @@ def _run(cfg: RunConfig, run_dir: Path, state0: WorkflowState | None = None,
         directory = RunDirectory(run_dir)
         directory.write_config(cfg.resolved_json_obj())
         rt.client.ledger.open_sink(directory.ledger_path)
-        if state0 is None:
+        if state0 is not None:
+            write_checkpoint(state0, directory.root / INIT_CHECKPOINT)
+        else:
             first_batch = make_batches(train_set, cfg.schedule)[0]
             state0 = bootstrap_workflow(rt, first_batch, get_metric(cfg.metric),
                                         metric_info(cfg.metric))
@@ -196,7 +204,10 @@ REPLAY_FILES = ("records.jsonl", "ledger.jsonl", "best.json")
 @click.option("--out", "out_dir", default=None, type=click.Path(),
               help="Where to rerun (default: a temporary directory).")
 def cmd_replay(run_dir, out_dir) -> None:
-    """Re-run a recorded run and assert its outputs are byte-identical."""
+    """Re-run a recorded run and assert its outputs are byte-identical.
+
+    A run that started from a checkpoint starts from its copy in the run
+    directory again."""
     run_path = Path(run_dir)
     config_path = run_path / "config.json"
     if not config_path.exists():
@@ -210,15 +221,19 @@ def cmd_replay(run_dir, out_dir) -> None:
     except ConfigError as e:
         _fail(USAGE_EXIT, str(e))
     record_path = cfg.resolve(cfg.backend["record_path"])
-    replay_store = record_path if record_path is not None and record_path.exists() else None
-    if replay_store is not None:
-        cfg.backend = {**cfg.backend, "record_path": None}
+    if record_path is not None and record_path.exists():
+        cfg.backend = {"kind": "replay", "store_path": str(record_path), "record_path": None}
     elif cfg.backend["kind"] == "http":
         _fail(USAGE_EXIT, "run was neither recorded nor deterministic; cannot replay")
+    init_path = run_path / INIT_CHECKPOINT
+    try:
+        state0 = load_checkpoint(init_path) if init_path.exists() else None
+    except (OSError, KeyError, ValueError) as e:
+        _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
 
     target = Path(out_dir) if out_dir else Path(tempfile.mkdtemp(prefix="flowtune-replay-"))
     try:
-        _run(cfg, target, replay_store=replay_store)
+        _run(cfg, target, state0)
         mismatches = [name for name in REPLAY_FILES
                       if (run_path / name).read_bytes() != (target / name).read_bytes()]
         print(json.dumps({"identical": not mismatches, "mismatched_files": mismatches}))

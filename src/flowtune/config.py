@@ -278,12 +278,10 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
     return registry
 
 
-def _build_backend(cfg: RunConfig, replay_override: Path | None = None):
+def _build_backend(cfg: RunConfig):
     """Returns (backend, deterministic). Deterministic backends get a logical
     clock so repeat runs emit byte-identical files. A recorded live run counts
     as deterministic, because its replay must write the same files."""
-    if replay_override is not None:
-        return ReplayBackend(replay_override, REPLAY), True
     args = dict(cfg.backend)
     kind = args.pop("kind")
     record_path = cfg.resolve(args.pop("record_path"))
@@ -298,10 +296,10 @@ def _build_backend(cfg: RunConfig, replay_override: Path | None = None):
     return backend, kind != "http" or record_path is not None
 
 
-def build_runtime(cfg: RunConfig, replay_override: Path | None = None) -> Runtime:
+def build_runtime(cfg: RunConfig) -> Runtime:
     """The run's runtime. Its ledger has no sink yet, so a ConfigError here
     comes before any file is written."""
-    backend, deterministic = _build_backend(cfg, replay_override)
+    backend, deterministic = _build_backend(cfg)
     clock = LogicalClock() if deterministic else SystemClock()
     ledger = RunLedger(prices=PriceTable.from_config(cfg.prices), clock=clock)
     return _checked_call(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 
-from .backend import BudgetExceeded, Purpose, TransportError
+from .backend import TransportError
 from .model import (
     ROUTE_PREFIX,
     TOOL_EXECUTOR,
@@ -135,50 +135,17 @@ def _execute_step(rt: Runtime, state: WorkflowState, step: StepSpec, question: s
     envelope = render_envelope(question, previous_output)
     executor = state.executor_for(step)
     t0 = rt.clock.now()
-    if executor.kind == TOOL_EXECUTOR:
-        try:
-            outcome = run_tool_step(
-                rt.client, rt.tools, executor, step.tool_names, envelope,
-                model_id=rt.settings.executor_model,
-                temperature=rt.settings.executor_temperature,
-                max_output_tokens=rt.settings.max_output_tokens,
-            )
-        except BudgetExceeded:
-            raise
-        except TransportError as e:
-            return _failure_record(step, envelope, e, rt, t0)
-        return StepRecord(
-            step_id=step.step_id,
-            input_text=envelope,
-            output_text=outcome.output_text,
-            tool_invocations=outcome.invocations,
-            token_usage=outcome.token_usage,
-            wall_time=float(rt.clock.now() - t0),
-            flags=outcome.flags,
-        )
-    request = rt.executor_request(executor.prompt, envelope, Purpose.FORWARD)
     try:
-        response = rt.client.complete(request)
-    except BudgetExceeded:
-        raise
+        if executor.kind == TOOL_EXECUTOR:
+            outcome = run_tool_step(rt, executor, step.tool_names, envelope)
+            result = dict(output_text=outcome.output_text, tool_invocations=outcome.invocations,
+                          token_usage=outcome.token_usage, flags=outcome.flags)
+        else:
+            response = rt.client.complete(rt.executor_request(executor.prompt, envelope))
+            result = dict(output_text=response.content,
+                          token_usage=TokenUsage(response.input_tokens, response.output_tokens))
     except TransportError as e:
-        return _failure_record(step, envelope, e, rt, t0)
-    return StepRecord(
-        step_id=step.step_id,
-        input_text=envelope,
-        output_text=response.content,
-        token_usage=TokenUsage(response.input_tokens, response.output_tokens),
-        wall_time=float(rt.clock.now() - t0),
-    )
-
-
-def _failure_record(step: StepSpec, envelope: str, exc: Exception, rt: Runtime,
-                    t0) -> StepRecord:
-    logger.warning("step %d failed: %s", step.step_id, exc)
-    return StepRecord(
-        step_id=step.step_id,
-        input_text=envelope,
-        output_text="",
-        wall_time=float(rt.clock.now() - t0),
-        flags=("backend_error",),
-    )
+        logger.warning("step %d failed: %s", step.step_id, e)
+        result = dict(output_text="", flags=("backend_error",))
+    return StepRecord(step_id=step.step_id, input_text=envelope,
+                      wall_time=float(rt.clock.now() - t0), **result)

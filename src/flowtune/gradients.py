@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from .backend import JsonRetryExhausted, Purpose
+from .backend import JsonRetryExhausted, Purpose, TransportError
 from .evaluation import EvalResult, Sample
 from .model import (
     ExecutionTrace,
@@ -20,7 +20,6 @@ from .model import (
     WorkflowState,
 )
 from .runtime import Runtime
-from .tools import ToolRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +32,8 @@ ALL_AT_ONCE = "all_at_once"
 
 
 class GradientUnavailable(RuntimeError):
-    """The meta model never produced parseable gradient JSON for this sample."""
+    """No usable gradient reply came for this sample: the backend could not
+    be reached, or the reply never parsed into the expected JSON."""
 
     def __init__(self, sample_id: str, step: str):
         self.sample_id = sample_id
@@ -128,10 +128,6 @@ def render_execution_trace(trace: ExecutionTrace, state: WorkflowState) -> str:
     return "\n\n".join(blocks)
 
 
-def render_available_tools(tools: ToolRegistry) -> str:
-    return tools.describe()
-
-
 def aggregate_gradients(gradients: list[TextualGradient]) -> str:
     """Stack every gradient verbatim, one labelled section per entry."""
     blocks = []
@@ -152,6 +148,28 @@ def _executor_tools(state: WorkflowState, step) -> str:
 # Gradient operations
 # ---------------------------------------------------------------------------
 
+def _text_gradient(reply) -> str:
+    return str(reply["text_gradient"])
+
+
+def _step_gradients(reply) -> dict:
+    raw = reply["gradients"]
+    if not isinstance(raw, dict):
+        raise TypeError("gradients must be an object")
+    return raw
+
+
+def _ask(rt: Runtime, template: str, values: dict[str, object], purpose: Purpose,
+         sample: Sample, where: str, read=_text_gradient):
+    """`read` of the meta model's reply to `template`. When no usable reply
+    comes (an unreachable backend, JSON retries exhausted, a missing or
+    mistyped key), the gradient is unavailable."""
+    try:
+        return read(rt.meta_json(template, values, purpose))
+    except (TransportError, JsonRetryExhausted, KeyError, TypeError) as e:
+        raise GradientUnavailable(sample.id, where) from e
+
+
 def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
               eval_result: EvalResult, metrics_info: str,
               step_id: int | None = None) -> TextualGradient:
@@ -161,7 +179,7 @@ def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: 
     if record is None:
         raise GradientUnavailable(sample.id, f"step {target} (not executed)")
     step = state.step(target)
-    pair = rt.templates.render("grad_loss", {
+    text = _ask(rt, "grad_loss", {
         "workflow_sketch": render_workflow_sketch(state),
         "question": sample.question,
         "ground_truth": sample.answer,
@@ -173,13 +191,7 @@ def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: 
         "step_input": clip(record.input_text, TRACE_EXCERPT_CAP),
         "step_output": clip(record.output_text, TRACE_EXCERPT_CAP),
         "evaluation_result": eval_result.feedback,
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.GRAD_LOSS)
-    try:
-        obj = rt.client.complete_json(request)
-        text = str(obj["text_gradient"])
-    except (JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, f"step {target}") from e
+    }, Purpose.GRAD_LOSS, sample, f"step {target}")
     return TextualGradient.for_step(target, clip_gradient(text), sample.id)
 
 
@@ -193,7 +205,7 @@ def grad_backprop(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, samp
     next_record = trace.last_record_for(next_id)
     step = state.step(step_id)
     next_step = state.step(next_id)
-    pair = rt.templates.render("grad_backprop", {
+    text = _ask(rt, "grad_backprop", {
         "workflow_sketch": render_workflow_sketch(state),
         "question": sample.question,
         "step_id": step.step_id,
@@ -208,13 +220,7 @@ def grad_backprop(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, samp
         "next_step_output": clip(next_record.output_text if next_record else "",
                                  TRACE_EXCERPT_CAP),
         "next_gradient": next_gradient.text,
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.GRAD_CALL)
-    try:
-        obj = rt.client.complete_json(request)
-        text = str(obj["text_gradient"])
-    except (JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, f"step {step_id}") from e
+    }, Purpose.GRAD_CALL, sample, f"step {step_id}")
     return TextualGradient.for_step(step_id, clip_gradient(text), sample.id)
 
 
@@ -261,7 +267,7 @@ def _backward_all_at_once(rt: Runtime, state: WorkflowState, trace: ExecutionTra
                           sample: Sample, eval_result: EvalResult,
                           metrics_info: str) -> dict[int, TextualGradient]:
     k_total = len(state.sketch)
-    pair = rt.templates.render("grad_all_steps", {
+    raw = _ask(rt, "grad_all_steps", {
         "question": sample.question,
         "ground_truth": sample.answer,
         "evaluation_result": eval_result.feedback,
@@ -269,15 +275,7 @@ def _backward_all_at_once(rt: Runtime, state: WorkflowState, trace: ExecutionTra
         "workflow_sketch": render_workflow_sketch(state),
         "execution_trace": render_execution_trace(trace, state),
         "num_steps": k_total,
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.GRAD_LOSS)
-    try:
-        obj = rt.client.complete_json(request)
-        raw = obj["gradients"]
-        if not isinstance(raw, dict):
-            raise TypeError("gradients must be an object")
-    except (JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, "all steps") from e
+    }, Purpose.GRAD_LOSS, sample, "all steps", read=_step_gradients)
     gradients: dict[int, TextualGradient] = {}
     for step_id in range(1, k_total + 1):
         text = raw.get(str(step_id))
@@ -288,25 +286,28 @@ def _backward_all_at_once(rt: Runtime, state: WorkflowState, trace: ExecutionTra
     return gradients
 
 
-def grad_workflow(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
-                  eval_result: EvalResult, metrics_info: str) -> TextualGradient:
-    """Structure-level gradient; partial traces are allowed."""
-    pair = rt.templates.render("grad_workflow", {
+def _structure_values(rt: Runtime, state: WorkflowState, trace: ExecutionTrace,
+                      sample: Sample, eval_result: EvalResult, metrics_info: str) -> dict:
+    """The values of the structure-level gradient templates."""
+    return {
         "question": sample.question,
         "ground_truth": sample.answer,
         "evaluation_result": eval_result.feedback,
         "metrics_info": metrics_info,
-        "available_tools": render_available_tools(rt.tools),
+        "available_tools": rt.tools.describe(),
         "workflow_structure": render_workflow_structure(state),
         "execution_trace": render_execution_trace(trace, state),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.GRAD_WORKFLOW)
-    try:
-        obj = rt.client.complete_json(request)
-        text = str(obj["text_gradient"])
-        reasoning = str(obj.get("reasoning", ""))
-    except (JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, "workflow") from e
+    }
+
+
+def grad_workflow(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
+                  eval_result: EvalResult, metrics_info: str) -> TextualGradient:
+    """Structure-level gradient; partial traces are allowed."""
+    text, reasoning = _ask(
+        rt, "grad_workflow",
+        _structure_values(rt, state, trace, sample, eval_result, metrics_info),
+        Purpose.GRAD_WORKFLOW, sample, "workflow",
+        read=lambda reply: (_text_gradient(reply), str(reply.get("reasoning", ""))))
     return TextualGradient.for_workflow(clip_gradient(text), sample.id, reasoning=reasoning)
 
 
@@ -314,19 +315,7 @@ def grad_combined(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, samp
                   eval_result: EvalResult, metrics_info: str) -> TextualGradient:
     """Single-layer gradient over the whole workflow (structure and behavior),
     for runs that drop the bilevel split."""
-    pair = rt.templates.render("grad_combined", {
-        "question": sample.question,
-        "ground_truth": sample.answer,
-        "evaluation_result": eval_result.feedback,
-        "metrics_info": metrics_info,
-        "available_tools": render_available_tools(rt.tools),
-        "workflow_structure": render_workflow_structure(state),
-        "execution_trace": render_execution_trace(trace, state),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.GRAD_LOSS)
-    try:
-        obj = rt.client.complete_json(request)
-        text = str(obj["text_gradient"])
-    except (JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, "combined") from e
+    text = _ask(rt, "grad_combined",
+                _structure_values(rt, state, trace, sample, eval_result, metrics_info),
+                Purpose.GRAD_LOSS, sample, "combined")
     return TextualGradient.for_workflow(clip_gradient(text), sample.id)

@@ -13,14 +13,13 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .backend import ChatRequest, JsonRetryExhausted, Message, Purpose
+from .backend import JsonRetryExhausted, Purpose
 from .evaluation import Sample
 from .gradients import (
     GradientUnavailable,
     aggregate_gradients,
     grad_workflow,
     render_agents_with_prompts,
-    render_available_tools,
     render_current_agents,
     render_workflow_sketch,
     render_workflow_structure,
@@ -228,16 +227,14 @@ def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
         raise ValueError("init_executor only applies to new steps")
     if not step.generation_guideline:
         raise ValueError("generation_guideline must be nonempty")
-    pair = rt.templates.render("init_executor", {
-        "step_id": step.step_id,
-        "step_description": step.description,
-        "tools": ", ".join(step.tools) if step.tools else "none",
-        "generation_guideline": step.generation_guideline,
-        "questions": "\n".join(f"- {q}" for q in sample_questions),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.INIT_EXECUTOR)
     try:
-        obj = rt.client.complete_json(request)
+        obj = rt.meta_json("init_executor", {
+            "step_id": step.step_id,
+            "step_description": step.description,
+            "tools": ", ".join(step.tools) if step.tools else "none",
+            "generation_guideline": step.generation_guideline,
+            "questions": "\n".join(f"- {q}" for q in sample_questions),
+        }, Purpose.INIT_EXECUTOR)
         raw_name = str(obj["name"])
         description = str(obj.get("description", step.description))
         prompt = str(obj["prompt"])
@@ -257,6 +254,38 @@ def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
     )
 
 
+def _decide(rt: Runtime, state: WorkflowState, template: str, values: dict[str, object],
+            inline_prompts: bool = False) -> PlanDecision | UpdateOutcome:
+    """The meta model's plan decision on `template`, or the outcome that
+    ends the update when there is no plan to apply: an unparseable reply or
+    a decision not to update."""
+    try:
+        decision = parse_plan_decision(rt.meta_json(template, values, Purpose.OPTIM_WORKFLOW),
+                                       inline_prompts)
+    except JsonRetryExhausted:
+        logger.warning("workflow update skipped: JSON retries exhausted")
+        return UpdateOutcome(state=state, decision=None, applied=False, error="json_failure")
+    except PlanFormatError as e:
+        logger.warning("workflow update skipped: %s", e)
+        return UpdateOutcome(state=state, decision=None, applied=False,
+                             error=f"plan_format: {e}")
+    if not decision.should_update:
+        return UpdateOutcome(state=state, decision=decision, applied=False)
+    return decision
+
+
+def _validated(rt: Runtime, state: WorkflowState, decision: PlanDecision,
+             candidate: WorkflowState, init_count: int = 0) -> UpdateOutcome:
+    """`candidate` as the applied outcome when it validates, else `state`."""
+    violations = validate_state(candidate, rt.tools.names())
+    if violations:
+        logger.warning("applied plan failed validation: %s", violations)
+        return UpdateOutcome(state=state, decision=decision, applied=False,
+                             error="PlanInvalid: " + "; ".join(str(v) for v in violations))
+    return UpdateOutcome(state=candidate, decision=decision, applied=True,
+                         init_count=init_count)
+
+
 def update_workflow(rt: Runtime, state: WorkflowState,
                     gradients: list[TextualGradient], sample_questions: list[str],
                     metrics_info: str) -> UpdateOutcome:
@@ -269,29 +298,17 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     """
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
-    pair = rt.templates.render("optim_workflow", {
+    decision = _decide(rt, state, "optim_workflow", {
         "metrics_info": metrics_info,
-        "available_tools": render_available_tools(rt.tools),
+        "available_tools": rt.tools.describe(),
         "current_workflow": render_workflow_structure(state),
         "current_agents": render_current_agents(state),
         "num_samples": len(gradients),
         "aggregated_gradients": aggregate_gradients(gradients),
         "output_format_instruction": OUTPUT_FORMAT_REMINDER,
     })
-    request = rt.meta_request(pair.system, pair.user, Purpose.OPTIM_WORKFLOW)
-    try:
-        obj = rt.client.complete_json(request)
-    except JsonRetryExhausted:
-        logger.warning("workflow update skipped: JSON retries exhausted")
-        return UpdateOutcome(state=state, decision=None, applied=False, error="json_failure")
-    try:
-        decision = parse_plan_decision(obj)
-    except PlanFormatError as e:
-        logger.warning("workflow update skipped: %s", e)
-        return UpdateOutcome(state=state, decision=None, applied=False,
-                             error=f"plan_format: {e}")
-    if not decision.should_update:
-        return UpdateOutcome(state=state, decision=decision, applied=False)
+    if isinstance(decision, UpdateOutcome):
+        return decision
 
     problems = validate_plan(state, decision.plan, rt.tools.names())
     if problems:
@@ -328,14 +345,9 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     )
     executors = dict(state.executors)
     executors.update(new_executors)
-    candidate = WorkflowState(sketch=sketch, executors=executors, revision=state.revision + 1)
-    violations = validate_state(candidate, rt.tools.names())
-    if violations:
-        logger.warning("applied plan failed validation: %s", violations)
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error="PlanInvalid: " + "; ".join(str(v) for v in violations))
-    return UpdateOutcome(state=candidate, decision=decision, applied=True,
-                         init_count=len(new_executors))
+    return _validated(rt, state, decision,
+                    WorkflowState(sketch=sketch, executors=executors, revision=state.revision + 1),
+                    init_count=len(new_executors))
 
 
 def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
@@ -351,18 +363,16 @@ def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
         if g.is_workflow_scoped or g.step_id not in served:
             raise ValueError(f"gradient scoped to step {g.step_id} does not belong to "
                              f"executor {executor.name}")
-    pair = rt.templates.render("optim_call", {
-        "workflow_sketch": render_workflow_sketch(state),
-        "executor_name": executor.name,
-        "executor_type": executor.kind,
-        "executor_tools": ", ".join(executor.tool_names) if executor.tool_names else "none",
-        "current_prompt": executor.prompt,
-        "num_samples": num_samples,
-        "aggregated_gradients": aggregate_gradients(gradients),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.OPTIM_CALL)
     try:
-        obj = rt.client.complete_json(request)
+        obj = rt.meta_json("optim_call", {
+            "workflow_sketch": render_workflow_sketch(state),
+            "executor_name": executor.name,
+            "executor_type": executor.kind,
+            "executor_tools": ", ".join(executor.tool_names) if executor.tool_names else "none",
+            "current_prompt": executor.prompt,
+            "num_samples": num_samples,
+            "aggregated_gradients": aggregate_gradients(gradients),
+        }, Purpose.OPTIM_CALL)
         updated = str(obj["updated_prompt"])
     except (JsonRetryExhausted, KeyError, TypeError):
         logger.warning("prompt update skipped for %s: unparseable meta reply", executor.name)
@@ -387,25 +397,16 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
     once, no separate initialization. Used when the bilevel split is off."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
-    pair = rt.templates.render("optim_combined", {
+    decision = _decide(rt, state, "optim_combined", {
         "metrics_info": metrics_info,
-        "available_tools": render_available_tools(rt.tools),
+        "available_tools": rt.tools.describe(),
         "current_workflow": render_workflow_structure(state),
         "agents_block": render_agents_with_prompts(state),
         "num_samples": len(gradients),
         "aggregated_gradients": aggregate_gradients(gradients),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.OPTIM_WORKFLOW)
-    try:
-        obj = rt.client.complete_json(request)
-        decision = parse_plan_decision(obj, inline_prompts=True)
-    except JsonRetryExhausted:
-        return UpdateOutcome(state=state, decision=None, applied=False, error="json_failure")
-    except PlanFormatError as e:
-        return UpdateOutcome(state=state, decision=None, applied=False,
-                             error=f"plan_format: {e}")
-    if not decision.should_update:
-        return UpdateOutcome(state=state, decision=decision, applied=False)
+    }, inline_prompts=True)
+    if isinstance(decision, UpdateOutcome):
+        return decision
 
     executors = dict(state.executors)
     sketch = []
@@ -428,13 +429,8 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
             step_id=step.step_id, description=step.description, executor_name=name,
             tool_names=step.tools, control=step.control,
         ))
-    candidate = WorkflowState(sketch=tuple(sketch), executors=executors,
-                              revision=state.revision + 1)
-    violations = validate_state(candidate, rt.tools.names())
-    if violations:
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error="PlanInvalid: " + "; ".join(str(v) for v in violations))
-    return UpdateOutcome(state=candidate, decision=decision, applied=True)
+    return _validated(rt, state, decision, WorkflowState(sketch=tuple(sketch), executors=executors,
+                                                       revision=state.revision + 1))
 
 
 def update_all_prompts(rt: Runtime, state: WorkflowState,
@@ -444,16 +440,13 @@ def update_all_prompts(rt: Runtime, state: WorkflowState,
     layer-by-layer backpropagation. Returns (state, applied)."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
-    pair = rt.templates.render("optim_all_prompts", {
-        "workflow_sketch": render_workflow_sketch(state),
-        "agents_block": render_agents_with_prompts(state),
-        "num_samples": num_samples,
-        "aggregated_gradients": aggregate_gradients(gradients),
-    })
-    request = rt.meta_request(pair.system, pair.user, Purpose.OPTIM_CALL)
     try:
-        obj = rt.client.complete_json(request)
-        updates = obj["updates"]
+        updates = rt.meta_json("optim_all_prompts", {
+            "workflow_sketch": render_workflow_sketch(state),
+            "agents_block": render_agents_with_prompts(state),
+            "num_samples": num_samples,
+            "aggregated_gradients": aggregate_gradients(gradients),
+        }, Purpose.OPTIM_CALL)["updates"]
         if not isinstance(updates, dict):
             raise TypeError("updates must be an object")
     except (JsonRetryExhausted, KeyError, TypeError):
@@ -510,14 +503,8 @@ def bootstrap_workflow(rt: Runtime, batch: list[Sample], metric, metrics_info: s
     base = seed_state()
 
     def workflow_gradient(view: Runtime, sample: Sample) -> TextualGradient | None:
-        request = ChatRequest(
-            model_id=view.settings.executor_model,
-            messages=(Message("user", sample.question),),
-            temperature=view.settings.executor_temperature,
-            max_output_tokens=view.settings.max_output_tokens,
-            purpose=Purpose.BOOTSTRAP,
-        )
-        response = view.client.complete(request)
+        response = view.client.complete(
+            view.executor_request(None, sample.question, Purpose.BOOTSTRAP))
         pseudo_trace = ExecutionTrace(
             sample_id=sample.id,
             records=(StepRecord(

@@ -111,25 +111,30 @@ class Runtime:
             self._pool = None
         getattr(self.client.backend, "close", lambda: None)()
 
-    def executor_request(self, system: str, user: str, purpose: Purpose = Purpose.FORWARD,
+    def executor_request(self, system: str | None, user: str, purpose: Purpose = Purpose.FORWARD,
                          extra_messages: tuple[Message, ...] = ()) -> ChatRequest:
-        messages = (Message("system", system), Message("user", user)) + extra_messages
+        """A request at the executor settings; with `system` None, the user
+        message goes alone."""
+        head = (Message("system", system),) if system is not None else ()
         return ChatRequest(
             model_id=self.settings.executor_model,
-            messages=messages,
+            messages=head + (Message("user", user),) + extra_messages,
             temperature=self.settings.executor_temperature,
             max_output_tokens=self.settings.max_output_tokens,
             purpose=purpose,
         )
 
-    def meta_request(self, system: str, user: str, purpose: Purpose) -> ChatRequest:
-        return ChatRequest(
+    def meta_json(self, template: str, values: dict[str, object], purpose: Purpose):
+        """Render `template` with `values`, ask the meta model, and return its
+        parsed JSON reply. Raises what `ChatClient.complete_json` raises."""
+        pair = self.templates.render(template, values)
+        return self.client.complete_json(ChatRequest(
             model_id=self.settings.meta_model,
-            messages=(Message("system", system), Message("user", user)),
+            messages=(Message("system", pair.system), Message("user", pair.user)),
             temperature=self.settings.meta_temperature,
             max_output_tokens=self.settings.max_output_tokens,
             purpose=purpose,
-        )
+        ))
 
 
 class _Task(FanOutTask):

@@ -244,10 +244,15 @@ def load_checkpoint(path: str | Path) -> model.WorkflowState:
     return state
 
 
+INIT_CHECKPOINT = Path("checkpoints", "init.json")
+
+
 class RunDirectory:
     """On-disk layout of one training run.
 
     checkpoints/batch_{i}.json   one checkpoint per completed batch
+    checkpoints/init.json        the given starting state, when the run did
+                                 not bootstrap; replay starts from it
     best.json                    byte copy of the argmax-batch checkpoint
     records.jsonl                one run record per batch
     ledger.jsonl                 one row per model call

@@ -16,17 +16,13 @@ import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .backend import (
-    ChatClient,
-    ChatRequest,
-    JsonExtractError,
-    Message,
-    Purpose,
-    extract_json,
-)
+from .backend import JsonExtractError, Message, extract_json
 from .model import ExecutorSpec, TokenUsage, ToolInvocation, compact_json
+
+if TYPE_CHECKING:
+    from .runtime import Runtime
 
 MAX_TOOL_ROUNDS = 4
 
@@ -265,34 +261,27 @@ def _tool_system_prompt(executor: ExecutorSpec, registry: ToolRegistry,
     return executor.prompt + "\n\n" + protocol
 
 
-def run_tool_step(client: ChatClient, registry: ToolRegistry, executor: ExecutorSpec,
-                  tool_names: tuple[str, ...], input_envelope: str, model_id: str,
-                  temperature: float, max_output_tokens: int) -> ToolStepOutcome:
-    """Bounded converse-and-call loop for one tool step.
+def run_tool_step(rt: Runtime, executor: ExecutorSpec, tool_names: tuple[str, ...],
+                  input_envelope: str) -> ToolStepOutcome:
+    """Bounded converse-and-call loop for one tool step, at the runtime's
+    executor settings and with its tools.
 
     The model gets up to MAX_TOOL_ROUNDS replies; each reply is either a
     fenced JSON tool call or the final answer. Unknown tools and tool crashes
     are surfaced back into the conversation and flagged, never raised, so a
     misbehaving step still yields a usable trace.
     """
+    registry = rt.tools
     allowed = tuple(tool_names)
-    messages: list[Message] = [
-        Message("system", _tool_system_prompt(executor, registry, allowed)),
-        Message("user", input_envelope),
-    ]
+    system = _tool_system_prompt(executor, registry, allowed)
+    results: tuple[Message, ...] = ()
     invocations: list[ToolInvocation] = []
     flags: list[str] = []
     usage = TokenUsage()
     last_text = ""
     for _ in range(MAX_TOOL_ROUNDS):
-        request = ChatRequest(
-            model_id=model_id,
-            messages=tuple(messages),
-            temperature=temperature,
-            max_output_tokens=max_output_tokens,
-            purpose=Purpose.FORWARD,
-        )
-        response = client.complete(request)
+        response = rt.client.complete(
+            rt.executor_request(system, input_envelope, extra_messages=results))
         usage = usage + TokenUsage(response.input_tokens, response.output_tokens)
         last_text = response.content
         call = _parse_tool_call(response.content)
@@ -314,7 +303,7 @@ def run_tool_step(client: ChatClient, registry: ToolRegistry, executor: Executor
         invocations.append(ToolInvocation(tool=tool_name, query=query, result=result))
         # Requests carry only system/user roles, so the call context is folded
         # into the result message instead of an assistant turn.
-        messages.append(Message("user", f"Tool result for {tool_name}({query}):\n{result}"))
+        results += (Message("user", f"Tool result for {tool_name}({query}):\n{result}"),)
     flags.append("round_limit_exceeded")
     return ToolStepOutcome(output_text=last_text, invocations=tuple(invocations),
                            flags=tuple(flags), token_usage=usage)

@@ -3,8 +3,10 @@
 Per batch, the default schedule runs two optimization rounds; each round is
 one structure-edit step followed by five prompt-descent steps over the same
 batch. Validation runs after every batch and the checkpoint with the highest
-score (earliest on ties) becomes the selected workflow. Budget breaches stop
-the run softly: whatever was best so far is returned, flagged.
+score (earliest on ties) becomes the selected workflow. A budget breach, or a
+meta call the backend cannot serve, stops the run softly: whatever was best
+so far is returned, flagged. (Forward steps and per-sample gradients absorb
+their own transport failures.)
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .backend import BudgetExceeded
+from .backend import BudgetExceeded, TransportError
 from .evaluation import Sample, get_metric, metric_info
 from .forward import run_workflow
 from .gradients import (
@@ -176,8 +178,8 @@ def train(rt: Runtime, config: TrainConfig, train_set: list[Sample], val_set: li
             if run_dir is not None and config.keep_traces:
                 sink = lambda trace: run_dir.write_trace(batch_index, trace)  # noqa: B023
             summary = evaluate(rt, state, val_view, metric_name, trace_sink=sink)
-        except BudgetExceeded as e:
-            logger.warning("budget reached at batch %d: %s", batch_index, e)
+        except (BudgetExceeded, TransportError) as e:
+            logger.warning("run halted at batch %d: %s", batch_index, e)
             halted = True
             break
         record = RunRecord(

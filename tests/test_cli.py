@@ -374,6 +374,55 @@ def test_train_from_init_checkpoint_skips_bootstrap(tmp_path, runner):
     assert "Bootstrap" not in purposes
 
 
+def test_replay_of_a_run_from_an_init_checkpoint_is_identical(tmp_path, runner):
+    from flowtune.store import write_checkpoint
+
+    from .helpers import chain_state
+
+    config_path = write_toy_config(tmp_path, record=True)
+    checkpoint = tmp_path / "init.json"
+    write_checkpoint(chain_state(2), checkpoint)
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir),
+                                  "--init-checkpoint", str(checkpoint)])
+    assert result.exit_code == 0, result.output
+    assert (run_dir / "checkpoints" / "init.json").read_bytes() == checkpoint.read_bytes()
+    checkpoint.unlink()  # the run directory alone replays
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
+
+
+def test_transport_failure_on_a_meta_call_halts_softly(tmp_path, runner, monkeypatch):
+    import threading
+
+    from flowtune.backend import TransportError
+    from flowtune.config import MOCK_SCRIPTS
+
+    lock, prompt_updates = threading.Lock(), []
+
+    def script(request):
+        if request.purpose == Purpose.OPTIM_CALL:
+            with lock:
+                prompt_updates.append(request)
+                if len(prompt_updates) == 3:  # the first prompt update of batch 1
+                    raise TransportError("connection dropped")
+        return canned_script(request)
+
+    monkeypatch.setitem(MOCK_SCRIPTS, "canned", script)
+    config_path = write_toy_config(tmp_path)
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output.strip().splitlines()[-1])
+    assert summary["halted_early"] is True
+    assert summary["batches"] == 1 and summary["best_batch_index"] == 0
+    assert (run_dir / "best.json").read_bytes() == \
+        (run_dir / "checkpoints" / "batch_0.json").read_bytes()
+
+
 def test_train_seed_override_changes_batching(tmp_path, runner):
     config_path = write_toy_config(tmp_path)
     a = tmp_path / "a"

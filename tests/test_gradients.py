@@ -1,6 +1,6 @@
 import pytest
 
-from flowtune.backend import Purpose
+from flowtune.backend import Purpose, TransportError
 from flowtune.evaluation import Sample, exact_match, metric_info
 from flowtune.forward import run_workflow
 from flowtune.gradients import (
@@ -10,6 +10,7 @@ from flowtune.gradients import (
     aggregate_gradients,
     backward,
     grad_backprop,
+    grad_combined,
     grad_loss,
     grad_workflow,
     render_workflow_sketch,
@@ -190,6 +191,26 @@ def test_gradient_unavailable_after_json_retries():
     with pytest.raises(GradientUnavailable):
         backward(rt, state, trace, sample,
                  exact_match(trace.final_output, sample.answer), EM_INFO)
+
+
+def drop_connection(request):
+    raise TransportError("connection dropped")
+
+
+@pytest.mark.parametrize("gradient", [
+    lambda rt, state, trace, sample, result: backward(rt, state, trace, sample, result, EM_INFO),
+    lambda rt, state, trace, sample, result: backward(rt, state, trace, sample, result, EM_INFO,
+                                                      mode=ALL_AT_ONCE),
+    lambda rt, state, trace, sample, result: grad_workflow(rt, state, trace, sample, result,
+                                                           EM_INFO),
+    lambda rt, state, trace, sample, result: grad_combined(rt, state, trace, sample, result,
+                                                           EM_INFO),
+], ids=["layerwise", "all_at_once", "workflow", "combined"])
+def test_transport_failure_leaves_the_gradient_unavailable(gradient):
+    state, sample, trace = traced(2)
+    rt = make_runtime(PurposeScript(default=drop_connection))
+    with pytest.raises(GradientUnavailable):
+        gradient(rt, state, trace, sample, exact_match(trace.final_output, sample.answer))
 
 
 def test_grad_workflow_carries_reasoning_and_sections():

@@ -294,10 +294,7 @@ def run_step(script, tool_names=("search_topk",)):
     registry = search_registry()
     rt = make_runtime(script, tools=registry)
     executor = tool_executor("Searcher", tuple(tool_names))
-    return run_tool_step(
-        rt.client, registry, executor, tuple(tool_names), "## Envelope\nfind bucknell",
-        model_id="executor", temperature=0.2, max_output_tokens=128,
-    ), rt
+    return run_tool_step(rt, executor, tuple(tool_names), "## Envelope\nfind bucknell"), rt
 
 
 def test_two_turn_search_then_answer():
@@ -361,7 +358,6 @@ def test_tool_crash_becomes_trace_data():
 
     rt = make_runtime(script, tools=registry)
     executor = tool_executor("Crasher", ("boom",))
-    outcome = run_tool_step(rt.client, registry, executor, ("boom",), "env",
-                            model_id="executor", temperature=0.2, max_output_tokens=64)
+    outcome = run_tool_step(rt, executor, ("boom",), "env")
     assert "tool_error:boom" in outcome.flags
     assert outcome.output_text == "done"

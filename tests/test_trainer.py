@@ -1,8 +1,9 @@
 import json
+import threading
 
 import pytest
 
-from flowtune.backend import Budget, Purpose
+from flowtune.backend import Budget, Purpose, TransportError
 from flowtune.evaluation import Sample
 from flowtune.forward import parse_envelope
 from flowtune.model import WorkflowState
@@ -227,6 +228,67 @@ def test_budget_mid_run_keeps_earlier_best(tmp_path, monkeypatch):
     assert result.halted_early
     assert result.best_val_score == 0.7
     assert result.best_batch_index == 0
+
+
+# ---------------------------------------------------------------------------
+# Meta-call transport failures
+# ---------------------------------------------------------------------------
+
+def failing_call(handlers, purpose, n):
+    """`handlers` with the n-th call of `purpose` raising TransportError."""
+    lock, seen = threading.Lock(), []
+    inner = handlers[purpose]
+
+    def handler(request):
+        with lock:
+            seen.append(request)
+            fail = len(seen) == n
+        if fail:
+            raise TransportError("connection dropped")
+        return inner(request)
+
+    return {**handlers, purpose: handler}
+
+
+def test_transport_failure_on_a_loss_gradient_drops_the_sample():
+    script = PurposeScript(failing_call(standard_handlers(), Purpose.GRAD_LOSS, 3))
+    rt = make_runtime(script)
+    result = train(rt, TrainConfig(seed=None), samples(5), samples(2, "v"), chain_state(1),
+                   "exact_match")
+    assert not result.halted_early
+    assert len(result.records) == 1
+    assert rt.client.ledger.count_by_purpose()["GradLoss"] == 49
+    assert rt.client.ledger.count_by_purpose()["OptimCall"] == 10
+
+
+def test_transport_failure_on_a_prompt_update_halts_softly_with_best_so_far(tmp_path):
+    script = PurposeScript(failing_call(standard_handlers("prompt_only"), Purpose.OPTIM_CALL, 2))
+    rt = make_runtime(script)
+    config = TrainConfig(batch_size=1, bilevel_rounds_per_batch=1, inner_steps_per_round=1,
+                         mode="prompt_only", seed=None)
+    run_dir = RunDirectory(tmp_path / "run")
+    result = train(rt, config, samples(3), samples(1, "v"), chain_state(1), "exact_match",
+                   run_dir=run_dir)
+    assert result.halted_early
+    assert result.best_batch_index == 0 and len(result.records) == 1
+    assert run_dir.best_path.read_bytes() == run_dir.checkpoint_path(0).read_bytes()
+
+
+@pytest.mark.parametrize("purpose", [Purpose.OPTIM_WORKFLOW, Purpose.INIT_EXECUTOR])
+def test_transport_failure_on_a_workflow_update_halts_softly(purpose):
+    plan = {"reasoning": "", "should_update": True, "updated_execution_plan": [
+        {"step_id": 1, "description": "answer", "tools": [], "executor_type": "new",
+         "executor_name": "Fresh", "generation_guideline": "answer plainly"}]}
+    handlers = {**standard_handlers(),
+                Purpose.OPTIM_WORKFLOW: lambda r: fenced(plan),
+                Purpose.INIT_EXECUTOR: lambda r: fenced({"name": "Fresh", "prompt": "p"})}
+    script = PurposeScript(failing_call(handlers, purpose, 1))
+    rt = make_runtime(script)
+    state0 = chain_state(1)
+    result = train(rt, TrainConfig(seed=None), samples(5), samples(2, "v"), state0,
+                   "exact_match")
+    assert result.halted_early
+    assert result.records == () and result.best_state is state0
 
 
 # ---------------------------------------------------------------------------
