@@ -3,12 +3,16 @@
 One fixed scripted run per mode (bootstrap included) is played at
 concurrency 1. The purposes and replay keys of all its requests hash to a
 constant per mode, so any change to a prompt, a template value, a message
-layout or the model settings of a request shows here. Each meta request is
-also checked to fill every placeholder of its template.
+layout or the model settings of a request shows here. So do the clock
+readings that stamp the run's ledger rows and records: a reading added,
+removed or moved shifts every later `ts`, and a run recorded earlier would no
+longer replay as identical. Each meta request is also checked to fill every
+placeholder of its template.
 """
 
 import hashlib
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
@@ -18,7 +22,8 @@ from flowtune.forward import parse_envelope
 from flowtune.optimizer import bootstrap_workflow
 from flowtune.templates import _PLACEHOLDER_RE, TEMPLATE_NAMES, load_templates
 from flowtune.tools import CorpusDoc, CorpusIndex, ToolRegistry, make_corpus_search_tool
-from flowtune.trainer import TrainConfig, train
+from flowtune.store import LedgerRow
+from flowtune.trainer import RunRecord, TrainConfig, train
 
 from .helpers import PurposeScript, fenced, make_runtime
 
@@ -30,6 +35,15 @@ REQUEST_DIGESTS = {
     "prompt_only": (34, "3ff8084fa2635402afafb4881da19be4d1ef0390f2a89b8640bd69c00802ad13"),
     "no_bilevel": (19, "fbabd625128e264b60134d49ec90b733d6850ae7305170d56967a4180be4b663"),
     "no_layerwise": (38, "343263793deed8f7599b42529457f75ad1c5faaae28aedd33403e7629eb5e159"),
+}
+
+# sha256 over "ts <ts>" lines, one per ledger row, then "timestamp <timestamp>"
+# lines, one per run record; the count is that of the lines.
+CLOCK_DIGESTS = {
+    "full": (45, "1f5a9c5a3ed7d2de7901d56702df48da8a28ce0ac9bca48c42b4b3a08528790e"),
+    "prompt_only": (35, "7406ba69cccca6d01943f4951003de3f1ef55787cf775efa8a0d11c6b4af6d57"),
+    "no_bilevel": (20, "bc7c7975edf6ccce4cad5b6c28817d4fd2fe6bad47bce953dd051f54931e1cd7"),
+    "no_layerwise": (39, "1a611cfafac9aa973fce82d6373cef179f55d651d5da7bb3c83459d9e33148f4"),
 }
 
 TEMPLATES = load_templates()
@@ -110,7 +124,13 @@ def make_script() -> PurposeScript:
     })
 
 
-def scripted_run(mode: str) -> PurposeScript:
+class PinnedRun(NamedTuple):
+    script: PurposeScript
+    ledger: tuple[LedgerRow, ...]
+    records: tuple[RunRecord, ...]
+
+
+def scripted_run(mode: str) -> PinnedRun:
     script = make_script()
     registry = ToolRegistry()
     registry.register(*make_corpus_search_tool(CorpusIndex(CORPUS)))
@@ -119,12 +139,12 @@ def scripted_run(mode: str) -> PurposeScript:
     state0 = bootstrap_workflow(rt, TRAIN, exact_match, info)
     config = TrainConfig(batch_size=2, bilevel_rounds_per_batch=1, inner_steps_per_round=2,
                          mode=mode, seed=None)
-    train(rt, config, TRAIN, VAL, state0, "exact_match")
-    return script
+    result = train(rt, config, TRAIN, VAL, state0, "exact_match")
+    return PinnedRun(script, rt.client.ledger.rows, result.records)
 
 
 @pytest.fixture(scope="module")
-def runs() -> dict[str, PurposeScript]:
+def runs() -> dict[str, PinnedRun]:
     return {mode: scripted_run(mode) for mode in MODES}
 
 
@@ -133,15 +153,26 @@ def request_digest(script: PurposeScript) -> tuple[int, str]:
     return len(script.calls), hashlib.sha256(lines.encode()).hexdigest()
 
 
+def clock_digest(run: PinnedRun) -> tuple[int, str]:
+    lines = ([f"ts {row.ts}\n" for row in run.ledger]
+             + [f"timestamp {record.timestamp}\n" for record in run.records])
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_request_keys_are_pinned(runs, mode):
-    assert request_digest(runs[mode]) == REQUEST_DIGESTS[mode]
+    assert request_digest(runs[mode].script) == REQUEST_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_clock_readings_are_pinned(runs, mode):
+    assert clock_digest(runs[mode]) == CLOCK_DIGESTS[mode]
 
 
 def test_every_meta_request_fills_its_template(runs):
     seen = set()
-    for mode, script in runs.items():
-        for request in script.calls:
+    for mode, run in runs.items():
+        for request in run.script.calls:
             if request.purpose in (Purpose.FORWARD, Purpose.BOOTSTRAP):
                 continue
             name = TEMPLATE_BY_SYSTEM[request.messages[0].content]
@@ -154,7 +185,7 @@ def test_every_meta_request_fills_its_template(runs):
 
 
 def test_pinned_runs_exercise_tools_and_repair(runs):
-    calls = runs["full"].calls
+    calls = runs["full"].script.calls
     assert any(len(r.messages) > 2 and r.purpose == Purpose.FORWARD for r in calls)
     assert any(len(r.messages) > 2 and r.purpose == Purpose.GRAD_LOSS for r in calls)
-    assert runs["full"].count(Purpose.INIT_EXECUTOR) > 0
+    assert runs["full"].script.count(Purpose.INIT_EXECUTOR) > 0
