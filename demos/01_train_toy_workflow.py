@@ -14,7 +14,6 @@ from pathlib import Path
 
 from flowtune import (
     ChatClient,
-    LogicalClock,
     RunDirectory,
     RunLedger,
     Runtime,
@@ -38,9 +37,7 @@ val_set = [
 ]
 
 # --- wire up a runtime around the scripted backend --------------------------
-clock = LogicalClock()
-ledger = RunLedger(clock=clock)
-runtime = Runtime(client=ChatClient(ScriptedMockBackend(canned_script), ledger), clock=clock)
+runtime = Runtime(client=ChatClient(ScriptedMockBackend(canned_script), RunLedger()))
 
 # --- cold start: no workflow at all ----------------------------------------
 state0 = bootstrap_workflow(runtime, train_set[:3], exact_match, metric_info("exact_match"))

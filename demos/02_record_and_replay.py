@@ -2,8 +2,8 @@
 
 Every chat completion is persisted to an append-only JSONL store keyed by a
 canonical request hash. A replay backend serves the same run from that store
-alone; with the logical clock, the rerun's ledger, records, and best
-checkpoint come out byte-identical.
+alone; every run is stamped from a logical clock, so the rerun's ledger,
+records, and best checkpoint come out byte-identical.
 
 Run with:  python3 demos/02_record_and_replay.py
 """
@@ -13,7 +13,6 @@ from pathlib import Path
 
 from flowtune import (
     ChatClient,
-    LogicalClock,
     ReplayBackend,
     RunDirectory,
     RunLedger,
@@ -35,9 +34,8 @@ dataset = [Sample(id=f"s{i}", question=f"echo {i}", answer=f"echo {i}") for i in
 
 def run(backend, into: str) -> RunDirectory:
     run_dir = RunDirectory(root / into)
-    clock = LogicalClock()
-    ledger = RunLedger(clock=clock, sink_path=run_dir.ledger_path)
-    rt = Runtime(client=ChatClient(backend, ledger), clock=clock)
+    ledger = RunLedger(sink_path=run_dir.ledger_path)
+    rt = Runtime(client=ChatClient(backend, ledger))
     state0 = bootstrap_workflow(rt, dataset[:2], exact_match, metric_info("exact_match"))
     train(rt, TrainConfig(batch_size=2, bilevel_rounds_per_batch=1,
                           inner_steps_per_round=1, seed=0),

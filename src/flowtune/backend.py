@@ -372,7 +372,9 @@ class ReplayBackend:
 
     Replay is strict: a request whose hash is absent from the store fails
     loudly, naming the hash. Repeated identical requests replay in recorded
-    order, sticking at the last recorded response once exhausted.
+    order, sticking at the last recorded response once exhausted. A call that
+    failed with a `TransportError` is recorded as a row with its "error" in
+    place of a response, and replays as the same failure, in its place.
 
     Inside a fan-out, both modes keep the serial order: record mode writes
     a task's rows when the task is committed, and replay mode serves a key
@@ -388,7 +390,8 @@ class ReplayBackend:
         self.mode = mode
         self.inner = inner
         self._lock = threading.Lock()
-        self._responses: dict[str, list[ChatResponse]] = {}
+        # A response, or the message of a recorded TransportError.
+        self._responses: dict[str, list[ChatResponse | str]] = {}
         self._cursors: dict[str, int] = {}
         if mode == REPLAY:
             self._load()
@@ -402,13 +405,14 @@ class ReplayBackend:
                 if not line:
                     continue
                 row = json.loads(line)
-                resp = row["response"]
-                self._responses.setdefault(row["key"], []).append(ChatResponse(
+                resp = row.get("response")
+                entry = row["error"] if resp is None else ChatResponse(
                     content=resp["content"],
                     input_tokens=int(resp.get("input_tokens", 0)),
                     output_tokens=int(resp.get("output_tokens", 0)),
                     latency_s=float(resp.get("latency_s", 0.0)),
-                ))
+                )
+                self._responses.setdefault(row["key"], []).append(entry)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request_replay_key(request)
@@ -421,8 +425,25 @@ class ReplayBackend:
             with self._lock:
                 cursor = self._cursors.get(key, 0)
                 self._cursors[key] = cursor + 1
-            return recorded[min(cursor, len(recorded) - 1)]
-        response = self.inner.complete(request)
+            entry = recorded[min(cursor, len(recorded) - 1)]
+            if isinstance(entry, str):
+                raise TransportError(entry)
+            return entry
+        try:
+            response = self.inner.complete(request)
+        except TransportError as e:
+            self._record(key, request, error=str(e))
+            raise
+        self._record(key, request, response={
+            "content": response.content,
+            "input_tokens": response.input_tokens,
+            "output_tokens": response.output_tokens,
+            "latency_s": response.latency_s,
+        })
+        return response
+
+    def _record(self, key: str, request: ChatRequest, **outcome) -> None:
+        """Write the row of one call, with its response or error, at commit."""
         row = {
             "key": key,
             "request": {
@@ -432,15 +453,9 @@ class ReplayBackend:
                 "max_output_tokens": request.max_output_tokens,
                 "purpose": request.purpose.value,
             },
-            "response": {
-                "content": response.content,
-                "input_tokens": response.input_tokens,
-                "output_tokens": response.output_tokens,
-                "latency_s": response.latency_s,
-            },
+            **outcome,
         }
         at_commit(lambda line=compact_json(row): self._write(line))
-        return response
 
     def _write(self, line: str) -> None:
         with open(self.store_path, "a", encoding="utf-8") as f:

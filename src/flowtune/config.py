@@ -29,7 +29,7 @@ from .backend import (
 from .evaluation import METRICS
 from .model import LOOP_DONE_SENTINEL
 from .runtime import DEFAULT_CONCURRENCY, ModelSettings, Runtime
-from .store import LogicalClock, PriceTable, RunLedger, SystemClock
+from .store import PriceTable, RunLedger
 from .templates import load_templates
 from .tools import CorpusIndex, ToolRegistry, load_corpus, make_corpus_search_tool
 from .trainer import TrainConfig
@@ -279,9 +279,6 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
 
 
 def _build_backend(cfg: RunConfig):
-    """Returns (backend, deterministic). Deterministic backends get a logical
-    clock so repeat runs emit byte-identical files. A recorded live run counts
-    as deterministic, because its replay must write the same files."""
     args = dict(cfg.backend)
     kind = args.pop("kind")
     record_path = cfg.resolve(args.pop("record_path"))
@@ -293,22 +290,19 @@ def _build_backend(cfg: RunConfig):
         backend = ReplayBackend(cfg.resolve(args["store_path"]), REPLAY)
     if record_path is not None:
         backend = ReplayBackend(record_path, RECORD, inner=backend)
-    return backend, kind != "http" or record_path is not None
+    return backend
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:
     """The run's runtime. Its ledger has no sink yet, so a ConfigError here
     comes before any file is written."""
-    backend, deterministic = _build_backend(cfg)
-    clock = LogicalClock() if deterministic else SystemClock()
-    ledger = RunLedger(prices=PriceTable.from_config(cfg.prices), clock=clock)
+    ledger = RunLedger(prices=PriceTable.from_config(cfg.prices))
     return _checked_call(
         Runtime,
-        client=ChatClient(backend, ledger, budget=cfg.budget),
+        client=ChatClient(_build_backend(cfg), ledger, budget=cfg.budget),
         settings=cfg.models,
         templates=load_templates(cfg.resolve(cfg.templates_dir)),
         tools=build_tool_registry(cfg),
-        clock=clock,
         loop_sentinel=cfg.loop_sentinel,
         concurrency=cfg.concurrency,
     )

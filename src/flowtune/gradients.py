@@ -167,7 +167,7 @@ def _ask(rt: Runtime, template: str, values: dict[str, object], purpose: Purpose
     try:
         return read(rt.meta_json(template, values, purpose))
     except (TransportError, JsonRetryExhausted, KeyError, TypeError) as e:
-        raise GradientUnavailable(sample.id, where) from e
+        raise GradientUnavailable(sample.id, f"{where}: {type(e).__name__}: {e}") from e
 
 
 def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,

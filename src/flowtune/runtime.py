@@ -9,7 +9,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .backend import CURRENT_TASK, ChatClient, ChatRequest, FanOutTask, Message, Purpose, at_commit
 from .model import LOOP_DONE_SENTINEL
-from .store import Clock, SystemClock
+from .store import LogicalClock
 from .templates import PromptLibrary, load_templates
 from .tools import ToolRegistry
 
@@ -48,7 +48,8 @@ class Runtime:
     settings: ModelSettings = field(default_factory=ModelSettings)
     templates: PromptLibrary = field(default_factory=load_templates)
     tools: ToolRegistry = field(default_factory=ToolRegistry)
-    clock: Clock = field(default_factory=SystemClock)
+    # The ledger's own clock, which stamps its rows; left out, it is taken.
+    clock: LogicalClock | None = None
     loop_sentinel: str = LOOP_DONE_SENTINEL
     concurrency: int = DEFAULT_CONCURRENCY
     _pool: ThreadPoolExecutor | None = field(default=None, init=False, repr=False,
@@ -57,6 +58,10 @@ class Runtime:
     def __post_init__(self):
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if self.clock is None:
+            self.clock = self.client.ledger.clock
+        elif self.clock is not self.client.ledger.clock:
+            raise ValueError("a runtime reads its ledger's clock, not a clock of its own")
 
     def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T]) -> list[R]:
         """`fn(view, item)` for every item; the results in item order.
@@ -143,12 +148,9 @@ class _Task(FanOutTask):
     def __init__(self, rt: Runtime):
         super().__init__(parent=CURRENT_TASK.get())
         self.rt = rt
-        ledger = rt.client.ledger
-        self.clock = rt.clock.fork()
-        # The ledger usually stamps rows from the runtime's own clock.
-        self.ledger = ledger.fork(self.clock if ledger.clock is rt.clock else ledger.clock.fork())
-        self.view = replace(rt, client=rt.client.with_ledger(self.ledger), clock=self.clock,
-                            concurrency=1)
+        self.ledger = rt.client.ledger.fork()
+        self.view = replace(rt, client=rt.client.with_ledger(self.ledger),
+                            clock=self.ledger.clock, concurrency=1)
 
     def run(self, fn, item):
         token = CURRENT_TASK.set(self)
@@ -159,7 +161,5 @@ class _Task(FanOutTask):
 
     def commit(self) -> None:
         self.rt.client.ledger.absorb(self.ledger)
-        if self.clock is not self.ledger.clock:
-            self.rt.clock.join(self.clock)
         for action in self.deferred:
             at_commit(action)

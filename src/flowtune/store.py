@@ -1,16 +1,15 @@
 """Run accounting and persistence.
 
 Costs are carried as integer micro-dollars so ledger totals are exact sums of
-row costs, with no floating-point drift. Timestamps come from a pluggable
-clock: runs on mock or replay backends use a logical counter, which makes the
-emitted files byte-identical across repeat runs.
+row costs, with no floating-point drift. Timestamps are ticks of a logical
+clock, one per reading, whatever the backend, so repeat runs and replays emit
+byte-identical files. Wall time is not a run artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -20,30 +19,7 @@ from . import model
 MICRO = Decimal("0.000001")
 
 
-class Clock:
-    def now(self) -> float | int:
-        raise NotImplementedError
-
-    def fork(self) -> "Clock":
-        """The clock one task of an ordered fan-out reads (see Runtime.fan_out).
-
-        A fork's readings are relative to the task's start: only their
-        differences mean anything until `join` supplies the offset. A clock
-        whose readings are not deterministic can be shared as is."""
-        return self
-
-    def join(self, fork: "Clock") -> float | int:
-        """Take over a fork's readings as if they had been made here, now;
-        returns the offset that turns the fork's readings into this clock's."""
-        return 0
-
-
-class SystemClock(Clock):
-    def now(self) -> float:
-        return time.time()
-
-
-class LogicalClock(Clock):
+class LogicalClock:
     """Deterministic monotone counter; one tick per reading.
 
     Only the thread that runs a fan-out reads the root clock; each task
@@ -58,9 +34,15 @@ class LogicalClock(Clock):
         return self._tick
 
     def fork(self) -> "LogicalClock":
+        """The clock one task of an ordered fan-out reads (see Runtime.fan_out).
+
+        A fork counts from 0: its readings mean nothing until `join`
+        supplies the offset."""
         return LogicalClock()
 
     def join(self, fork: "LogicalClock") -> int:
+        """Take over a fork's readings as if they had been made here, now;
+        returns the offset that turns the fork's readings into this clock's."""
         base = self._tick
         self._tick += fork._tick
         return base
@@ -113,7 +95,7 @@ class LedgerRow:
     in_tok: int
     out_tok: int
     cost_micro: int
-    ts: float | int
+    ts: int
     warn: bool = False
 
     def to_line(self) -> str:
@@ -140,10 +122,10 @@ class RunLedger:
     `idx` and `ts` come out as in a serial run.
     """
 
-    def __init__(self, prices: PriceTable | None = None, clock: Clock | None = None,
+    def __init__(self, prices: PriceTable | None = None, clock: LogicalClock | None = None,
                  sink_path: str | Path | None = None):
         self.prices = prices or PriceTable()
-        self.clock = clock or SystemClock()
+        self.clock = clock or LogicalClock()
         self._rows: list[LedgerRow] = []
         self._cost_micro = 0
         self._sink = None
@@ -177,9 +159,10 @@ class RunLedger:
             self._sink.write(row.to_line() + "\n")
             self._sink.flush()
 
-    def fork(self, clock: Clock) -> "RunLedger":
-        """An in-memory ledger for one task, stamping rows from `clock`."""
-        return RunLedger(self.prices, clock)
+    def fork(self) -> "RunLedger":
+        """An in-memory ledger for one task, stamping rows from a fork of
+        this ledger's clock, which the task's runtime view reads too."""
+        return RunLedger(self.prices, self.clock.fork())
 
     def absorb(self, fork: "RunLedger") -> None:
         """Append a fork's rows, renumbered, and join its clock into this

@@ -79,7 +79,7 @@ class RunRecord:
     revision: int
     api_calls_so_far: int
     cost_so_far_micro: int
-    timestamp: float | int
+    timestamp: int
 
     def to_line(self) -> str:
         return (

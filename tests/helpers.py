@@ -18,6 +18,7 @@ from flowtune.backend import (
     ChatRequest,
     Purpose,
     ScriptedMockBackend,
+    TransportError,
 )
 from flowtune.model import (
     LLM_EXECUTOR,
@@ -54,6 +55,10 @@ class PurposeScript:
 
     def count(self, purpose: Purpose) -> int:
         return sum(1 for r in self.calls if r.purpose == purpose)
+
+
+def drop_connection(request: ChatRequest) -> str:
+    raise TransportError("connection dropped")
 
 
 def user_content(request: ChatRequest) -> str:

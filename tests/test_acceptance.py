@@ -457,7 +457,6 @@ def test_criterion_10_live_smoke(tmp_path):
     from flowtune.backend import ChatClient, HttpBackend
     from flowtune.evaluation import Sample
     from flowtune.runtime import ModelSettings, Runtime
-    from flowtune.store import SystemClock
     from flowtune.tools import CorpusDoc, CorpusIndex, ToolRegistry, make_corpus_search_tool
     from flowtune.trainer import evaluate
 
@@ -473,11 +472,10 @@ def test_criterion_10_live_smoke(tmp_path):
     spec, fn = make_corpus_search_tool(CorpusIndex(corpus))
     registry.register(spec, fn)
 
-    ledger = RunLedger(prices=PriceTable(), clock=SystemClock())
     backend = HttpBackend(endpoint, api_key_env="FLOWTUNE_API_KEY")
-    rt = Runtime(client=ChatClient(backend, ledger),
+    rt = Runtime(client=ChatClient(backend, RunLedger()),
                  settings=ModelSettings(executor_model=model, meta_model=model),
-                 tools=registry, clock=SystemClock())
+                 tools=registry)
 
     train_set, val_set = dataset[:10], dataset[10:]
     state0 = bootstrap_workflow(rt, train_set[:5], exact_match, EM_INFO)

@@ -1,12 +1,13 @@
 import json
 import shutil
+import threading
 
 import pytest
 from click.testing import CliRunner
 
-from flowtune.backend import ChatRequest, Message, Purpose
+from flowtune.backend import ChatRequest, Message, Purpose, TransportError
 from flowtune.cli import main
-from flowtune.config import canned_script
+from flowtune.config import MOCK_SCRIPTS, canned_script
 from flowtune.templates import TEMPLATE_NAMES, load_templates
 
 from . import golden_scenario as G
@@ -394,23 +395,24 @@ def test_replay_of_a_run_from_an_init_checkpoint_is_identical(tmp_path, runner):
     assert json.loads(result.output.strip())["identical"] is True
 
 
-def test_transport_failure_on_a_meta_call_halts_softly(tmp_path, runner, monkeypatch):
-    import threading
-
-    from flowtune.backend import TransportError
-    from flowtune.config import MOCK_SCRIPTS
-
-    lock, prompt_updates = threading.Lock(), []
+def fail_nth_call(purpose: Purpose, n: int):
+    """`canned_script`, except that its nth call for `purpose` drops the connection."""
+    lock, calls = threading.Lock(), []
 
     def script(request):
-        if request.purpose == Purpose.OPTIM_CALL:
+        if request.purpose == purpose:
             with lock:
-                prompt_updates.append(request)
-                if len(prompt_updates) == 3:  # the first prompt update of batch 1
+                calls.append(request)
+                if len(calls) == n:
                     raise TransportError("connection dropped")
         return canned_script(request)
 
-    monkeypatch.setitem(MOCK_SCRIPTS, "canned", script)
+    return script
+
+
+def test_transport_failure_on_a_meta_call_halts_softly(tmp_path, runner, monkeypatch):
+    # The third prompt update is the first of batch 1.
+    monkeypatch.setitem(MOCK_SCRIPTS, "canned", fail_nth_call(Purpose.OPTIM_CALL, 3))
     config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     result = runner.invoke(main, ["train", "--config", str(config_path),
@@ -421,6 +423,23 @@ def test_transport_failure_on_a_meta_call_halts_softly(tmp_path, runner, monkeyp
     assert summary["batches"] == 1 and summary["best_batch_index"] == 0
     assert (run_dir / "best.json").read_bytes() == \
         (run_dir / "checkpoints" / "batch_0.json").read_bytes()
+
+
+@pytest.mark.parametrize("purpose, n", [(Purpose.FORWARD, 5), (Purpose.GRAD_LOSS, 2),
+                                        (Purpose.OPTIM_CALL, 3)])
+def test_replay_of_a_recorded_transport_failure_is_identical(tmp_path, runner, monkeypatch,
+                                                             purpose, n):
+    monkeypatch.setitem(MOCK_SCRIPTS, "canned", fail_nth_call(purpose, n))
+    config_path = write_toy_config(tmp_path, record=True)
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    rows = [json.loads(line) for line in (tmp_path / "store.jsonl").read_text().splitlines()]
+    assert [row["error"] for row in rows if "error" in row] == ["connection dropped"]
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
 
 
 def test_train_seed_override_changes_batching(tmp_path, runner):

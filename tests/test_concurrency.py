@@ -236,24 +236,19 @@ def test_results_and_ledger_rows_come_in_item_order(fast_switching):
     assert rt.clock.now() == 31
 
 
-def test_ledger_with_a_clock_of_its_own_keeps_serial_timestamps():
-    def fan_out_run(concurrency):
-        ledger = RunLedger(clock=LogicalClock(start=100))
-        rt = Runtime(client=ChatClient(ScriptedMockBackend(lambda r: "ok"), ledger),
-                     clock=LogicalClock(), concurrency=concurrency)
-
-        def item(view, n):
-            view.clock.now()
-            ask(view, str(n))
-            return view.clock.now()
-
-        ends = rt.fan_out(item, range(6))
-        return ends, [r.ts for r in ledger.rows], rt.clock.now(), ledger.clock.now()
-
-    # Each item reads the runtime clock twice and stamps one ledger row.
-    expected = ([2, 2, 2, 2, 2, 2], list(range(101, 107)), 13, 107)
-    assert fan_out_run(1) == expected
-    assert fan_out_run(8) == expected
+def test_runtime_reads_its_ledgers_clock():
+    ledger = RunLedger(clock=LogicalClock(start=100))
+    client = ChatClient(ScriptedMockBackend(lambda r: "ok"), ledger)
+    with pytest.raises(ValueError, match="ledger's clock"):
+        Runtime(client=client, clock=LogicalClock())
+    rt = Runtime(client=client)
+    assert rt.clock is ledger.clock
+    assert Runtime(client=client, clock=ledger.clock).clock is ledger.clock
+    # The fan-out's views read and stamp from forks of that one clock.
+    ends = rt.fan_out(lambda view, n: [view.clock.now(), ask(view, str(n)).content], range(3))
+    assert ends == [[1, "ok"]] * 3
+    assert [r.ts for r in ledger.rows] == [102, 104, 106]
+    assert rt.clock.now() == 107
 
 
 def test_failure_is_raised_after_every_completed_call_commits():

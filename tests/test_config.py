@@ -10,7 +10,7 @@ from flowtune.config import (
     load_config,
 )
 from flowtune.runtime import ModelSettings
-from flowtune.store import LogicalClock, SystemClock
+from flowtune.store import LogicalClock
 from flowtune.trainer import TrainConfig
 
 
@@ -117,7 +117,6 @@ def test_settings_and_schedule_mapping(tmp_path):
 def test_deterministic_backends_get_logical_clock(tmp_path):
     cfg = load_config(write(tmp_path, BASE))
     rt = build_runtime(cfg)
-    assert isinstance(rt.clock, LogicalClock)
     assert isinstance(rt.client.backend, ScriptedMockBackend)
 
     store = tmp_path / "store.jsonl"
@@ -125,12 +124,13 @@ def test_deterministic_backends_get_logical_clock(tmp_path):
     replay_cfg = load_config(write(tmp_path, {
         **BASE, "backend": {"kind": "replay", "store_path": "store.jsonl"}},
         name="replay.json"))
-    assert isinstance(build_runtime(replay_cfg).clock, LogicalClock)
-
+    # An unrecorded live run is stamped from the logical clock too.
     http_cfg = load_config(write(tmp_path, {
         **BASE, "backend": {"kind": "http", "endpoint": "http://localhost:1"}},
         name="http.json"))
-    assert isinstance(build_runtime(http_cfg).clock, SystemClock)
+    for rt in (rt, build_runtime(replay_cfg), build_runtime(http_cfg)):
+        assert isinstance(rt.clock, LogicalClock)
+        assert rt.clock is rt.client.ledger.clock
 
 
 def test_resolved_json_obj_absolutizes_paths(tmp_path):

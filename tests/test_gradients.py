@@ -1,6 +1,6 @@
 import pytest
 
-from flowtune.backend import Purpose, TransportError
+from flowtune.backend import Purpose
 from flowtune.evaluation import Sample, exact_match, metric_info
 from flowtune.forward import run_workflow
 from flowtune.gradients import (
@@ -20,6 +20,7 @@ from flowtune.model import TextualGradient
 from .helpers import (
     PurposeScript,
     chain_state,
+    drop_connection,
     fenced,
     make_runtime,
     system_content,
@@ -191,10 +192,6 @@ def test_gradient_unavailable_after_json_retries():
     with pytest.raises(GradientUnavailable):
         backward(rt, state, trace, sample,
                  exact_match(trace.final_output, sample.answer), EM_INFO)
-
-
-def drop_connection(request):
-    raise TransportError("connection dropped")
 
 
 @pytest.mark.parametrize("gradient", [

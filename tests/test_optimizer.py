@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from flowtune.backend import Purpose
@@ -26,7 +28,14 @@ from flowtune.model import TextualGradient
 from flowtune.tools import CorpusIndex, ToolRegistry, make_corpus_search_tool
 from flowtune.tools import CorpusDoc
 
-from .helpers import PurposeScript, chain_state, fenced, make_runtime, user_content
+from .helpers import (
+    PurposeScript,
+    chain_state,
+    drop_connection,
+    fenced,
+    make_runtime,
+    user_content,
+)
 
 EM_INFO = metric_info("exact_match")
 
@@ -454,6 +463,22 @@ def test_bootstrap_failure_propagates():
     with pytest.raises(BootstrapFailed):
         bootstrap_workflow(rt, [Sample(id="s", question="q", answer="a")],
                            exact_match, EM_INFO)
+
+
+@pytest.mark.parametrize("reply, cause", [
+    (drop_connection, "TransportError: connection dropped"),
+    (lambda r: "never json", "JsonRetryExhausted: no valid JSON after 4 attempts"),
+], ids=["transport", "json"])
+def test_a_skipped_bootstrap_gradient_warning_names_its_cause(caplog, reply, cause):
+    script = bootstrap_script([new_step(1, "only")])
+    script.handlers[Purpose.GRAD_WORKFLOW] = reply
+    rt = make_runtime(script)
+    with caplog.at_level(logging.WARNING, logger="flowtune.optimizer"), \
+            pytest.raises(BootstrapFailed):
+        bootstrap_workflow(rt, [Sample(id="s", question="q", answer="a")],
+                           exact_match, EM_INFO)
+    assert [r.getMessage() for r in caplog.records if r.name == "flowtune.optimizer"] == [
+        f"bootstrap gradient skipped: no gradient for sample 's' at workflow: {cause}"]
 
 
 def test_update_prompt_rejects_foreign_gradients():

@@ -1,4 +1,5 @@
 import json
+import logging
 import threading
 
 import pytest
@@ -17,7 +18,14 @@ from flowtune.trainer import (
     train,
 )
 
-from .helpers import PurposeScript, chain_state, fenced, make_runtime, user_content
+from .helpers import (
+    PurposeScript,
+    chain_state,
+    drop_connection,
+    fenced,
+    make_runtime,
+    user_content,
+)
 
 
 def forward_handler(request):
@@ -259,6 +267,21 @@ def test_transport_failure_on_a_loss_gradient_drops_the_sample():
     assert len(result.records) == 1
     assert rt.client.ledger.count_by_purpose()["GradLoss"] == 49
     assert rt.client.ledger.count_by_purpose()["OptimCall"] == 10
+
+
+@pytest.mark.parametrize("reply, cause", [
+    (drop_connection, "TransportError: connection dropped"),
+    (lambda r: "never json", "JsonRetryExhausted: no valid JSON after 4 attempts"),
+], ids=["transport", "json"])
+def test_a_dropped_sample_warning_names_its_cause(caplog, reply, cause):
+    handlers = {**standard_handlers(), Purpose.GRAD_LOSS: reply}
+    rt = make_runtime(PurposeScript(handlers))
+    with caplog.at_level(logging.WARNING, logger="flowtune.trainer"):
+        train(rt, TrainConfig(batch_size=2, seed=None), samples(2), samples(1, "v"),
+              chain_state(1), "exact_match")
+    dropped = [r.getMessage() for r in caplog.records if "no gradient for" in r.getMessage()]
+    assert dropped
+    assert all(message.endswith(f"at step 1: {cause}") for message in dropped)
 
 
 def test_transport_failure_on_a_prompt_update_halts_softly_with_best_so_far(tmp_path):
