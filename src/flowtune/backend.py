@@ -622,17 +622,18 @@ class ChatClient:
         self._usage.spend(row.cost_micro)
         return response
 
-    def complete_json(self, request: ChatRequest, retries: int = JSON_RETRY_LIMIT):
-        """complete() plus JSON extraction, re-asking with a repair line on failure."""
+    def complete_json(self, request: ChatRequest):
+        """complete() plus JSON extraction, re-asking with a repair line on
+        failure, up to JSON_RETRY_LIMIT times."""
         req = request
         last: JsonExtractError | None = None
-        for attempt in range(retries + 1):
+        for attempt in range(JSON_RETRY_LIMIT + 1):
             response = self.complete(req)
             try:
                 return extract_json(response.content)
             except JsonExtractError as e:
                 last = e
                 logger.warning("malformed JSON from %s call (attempt %d/%d)",
-                               request.purpose.value, attempt + 1, retries + 1)
+                               request.purpose.value, attempt + 1, JSON_RETRY_LIMIT + 1)
                 req = replace(req, messages=req.messages + (Message("user", REPAIR_INSTRUCTION),))
-        raise JsonRetryExhausted(last, retries + 1)
+        raise JsonRetryExhausted(last, JSON_RETRY_LIMIT + 1)

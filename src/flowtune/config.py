@@ -261,6 +261,8 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if cfg.metric not in METRICS:
         raise ConfigError(f"unknown metric {cfg.metric!r}; available: {sorted(METRICS)}")
+    if cfg.tools.get("top_k_default", 1) < 1:
+        raise ConfigError(f"tools.top_k_default must be >= 1, got {cfg.tools['top_k_default']}")
     return cfg
 
 

@@ -97,10 +97,13 @@ def control_from_json(obj) -> Control:
     kind = obj.get("kind")
     if kind == "sequential":
         return Sequential()
-    if kind == "route":
-        return Route(targets={str(k): int(v) for k, v in obj.get("targets", {}).items()})
-    if kind == "loop":
-        return Loop(max_iterations=int(obj.get("max_iterations", 1)))
+    try:
+        if kind == "route":
+            return Route(targets={str(k): int(v) for k, v in obj.get("targets", {}).items()})
+        if kind == "loop":
+            return Loop(max_iterations=int(obj.get("max_iterations", 1)))
+    except (AttributeError, TypeError) as e:  # targets not an object, a value not a number
+        raise ValueError(f"bad {kind} control: {e}") from e
     raise ValueError(f"unknown control kind: {kind!r}")
 
 
@@ -174,8 +177,6 @@ class Violation:
 def validate_state(
     state: WorkflowState,
     registered_tools: set[str] | frozenset[str] | None = None,
-    max_steps: int = MAX_SKETCH_STEPS,
-    max_loop_iterations: int = MAX_LOOP_ITERATIONS,
 ) -> list[Violation]:
     """Return every invariant violation in `state`; an empty list means valid.
 
@@ -188,8 +189,8 @@ def validate_state(
     ids = [s.step_id for s in state.sketch]
     if ids != list(range(1, len(ids) + 1)):
         out.append(Violation("NonContiguousStepIds", f"got {ids}, want 1..{len(ids)}"))
-    if len(ids) > max_steps:
-        out.append(Violation("TooManySteps", f"{len(ids)} steps exceeds cap {max_steps}"))
+    if len(ids) > MAX_SKETCH_STEPS:
+        out.append(Violation("TooManySteps", f"{len(ids)} steps exceeds cap {MAX_SKETCH_STEPS}"))
     if state.revision < 0:
         out.append(Violation("NegativeRevision", str(state.revision)))
 
@@ -213,7 +214,7 @@ def validate_state(
                 elif target <= step.step_id:
                     out.append(Violation("BackwardRouteTarget", f"step {step.step_id} label {label!r} -> {target}"))
         if isinstance(step.control, Loop):
-            if not (1 <= step.control.max_iterations <= max_loop_iterations):
+            if not (1 <= step.control.max_iterations <= MAX_LOOP_ITERATIONS):
                 out.append(Violation(
                     "LoopIterationsOutOfRange",
                     f"step {step.step_id} max_iterations={step.control.max_iterations}",

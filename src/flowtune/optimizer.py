@@ -1,10 +1,12 @@
 """Applies textual gradients: prompt rewrites, sketch edits, cold start.
 
-Plan application is atomic. A plan is fully validated first, then every new
-executor is initialized; only when all of that succeeds does a new state
-appear. Any failure along the way returns the original state untouched, with
-the reason on the outcome, so a half-applied sketch can never be observed or
-checkpointed.
+Plan application is atomic. `validate_state` is the one judge of what a plan
+builds: on a bilevel update each new step stands in with an executor of the
+kind and tools it will have, so a plan is judged whole before any new
+executor is initialized. Only when every initialization succeeds does a new
+state appear. Any failure along the way returns the original state untouched,
+with the reason on the outcome, so a half-applied sketch can never be
+observed or checkpointed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .gradients import (
 )
 from .model import (
     LLM_EXECUTOR,
-    MAX_SKETCH_STEPS,
     TOOL_EXECUTOR,
     Control,
     ExecutionTrace,
@@ -122,7 +123,7 @@ def _parse_plan_step(obj, inline_prompts: bool) -> PlanStep:
         try:
             control = control_from_json(obj["control"])
         except ValueError as e:
-            raise PlanFormatError(str(e)) from e
+            raise PlanFormatError(f"step {step_id}: {e}") from e
     if inline_prompts:
         executor_type = str(obj.get("executor_type", NEW))
         guideline = ""
@@ -131,6 +132,11 @@ def _parse_plan_step(obj, inline_prompts: bool) -> PlanStep:
         executor_type = str(obj.get("executor_type", ""))
         guideline = str(obj.get("generation_guideline", "") or "")
         prompt = ""
+        if executor_type not in (REUSE, NEW):
+            raise PlanFormatError(f"step {step_id}: executor_type must be '{REUSE}' or "
+                                  f"'{NEW}', got {executor_type!r}")
+        if executor_type == NEW and not guideline:
+            raise PlanFormatError(f"step {step_id}: new executor without generation_guideline")
     return PlanStep(
         step_id=step_id,
         description=description,
@@ -162,41 +168,6 @@ def parse_plan_decision(obj, inline_prompts: bool = False) -> PlanDecision:
     )
 
 
-def validate_plan(state: WorkflowState, plan: tuple[PlanStep, ...],
-                  available_tools: frozenset[str]) -> list[str]:
-    problems: list[str] = []
-    if not plan:
-        problems.append("plan is empty")
-        return problems
-    ids = [s.step_id for s in plan]
-    if ids != list(range(1, len(ids) + 1)):
-        problems.append(f"step ids not contiguous from 1: {ids}")
-    if len(plan) > MAX_SKETCH_STEPS:
-        problems.append(f"{len(plan)} steps exceeds cap {MAX_SKETCH_STEPS}")
-    for step in plan:
-        for tool in step.tools:
-            if tool not in available_tools:
-                problems.append(f"step {step.step_id}: unknown tool {tool!r}")
-        if step.executor_type == REUSE:
-            exe = state.executors.get(step.executor_name)
-            if exe is None:
-                problems.append(f"step {step.step_id}: reuse of unknown executor "
-                                f"{step.executor_name!r}")
-            else:
-                wants_tools = bool(step.tools)
-                if wants_tools != (exe.kind == TOOL_EXECUTOR):
-                    problems.append(
-                        f"step {step.step_id}: executor {exe.name} has kind {exe.kind} "
-                        f"but plan tools are {list(step.tools)}")
-        elif step.executor_type == NEW:
-            if not step.generation_guideline:
-                problems.append(f"step {step.step_id}: new executor without generation_guideline")
-        else:
-            problems.append(f"step {step.step_id}: executor_type must be "
-                            f"'{REUSE}' or '{NEW}', got {step.executor_type!r}")
-    return problems
-
-
 def sanitize_executor_name(name: str) -> str:
     cleaned = _NAME_SANITIZE_RE.sub("_", name).strip("_")
     return cleaned or "Executor"
@@ -217,16 +188,13 @@ def uniquify_name(name: str, taken: set[str]) -> str:
 
 def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
                   taken_names: set[str]) -> ExecutorSpec:
-    """Generate the initial prompt for a new step's executor.
+    """Generate the initial prompt for a new step's executor. The plan parser
+    has checked that the step is new and has a generation guideline.
 
     The plan decides the executor kind (tools present or not); the generated
     spec supplies name, description, and prompt. Names are sanitized and
     uniquified against the registry.
     """
-    if step.executor_type != NEW:
-        raise ValueError("init_executor only applies to new steps")
-    if not step.generation_guideline:
-        raise ValueError("generation_guideline must be nonempty")
     try:
         obj = rt.meta_json("init_executor", {
             "step_id": step.step_id,
@@ -242,16 +210,33 @@ def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
         raise InitFailed(f"initialization failed for step {step.step_id}: {e}") from e
     if not prompt:
         raise InitFailed(f"initialization for step {step.step_id} produced an empty prompt")
-    kind = TOOL_EXECUTOR if step.tools else LLM_EXECUTOR
-    name = uniquify_name(sanitize_executor_name(raw_name), taken_names)
-    return ExecutorSpec(
-        name=name,
-        kind=kind,
-        description=description,
-        prompt=prompt,
-        tool_names=tuple(step.tools),
-        version=0,
-    )
+    return _executor(step, uniquify_name(sanitize_executor_name(raw_name), taken_names),
+                     description, prompt)
+
+
+def _executor(step: PlanStep, name: str, description: str, prompt: str,
+              version: int = 0) -> ExecutorSpec:
+    """An executor for `step`: the step's tools decide its kind."""
+    return ExecutorSpec(name=name, kind=TOOL_EXECUTOR if step.tools else LLM_EXECUTOR,
+                        description=description, prompt=prompt, tool_names=step.tools,
+                        version=version)
+
+
+def _candidate(state: WorkflowState, plan: tuple[PlanStep, ...],
+               executors: list[ExecutorSpec | None]) -> WorkflowState:
+    """The state `plan` builds on `state`. Step i runs `executors[i]`, which
+    joins the registry, or the executor the step names where that is None."""
+    registry = dict(state.executors)
+    sketch = []
+    for step, exe in zip(plan, executors):
+        if exe is not None:
+            registry[exe.name] = exe
+        sketch.append(StepSpec(
+            step_id=step.step_id, description=step.description,
+            executor_name=step.executor_name if exe is None else exe.name,
+            tool_names=step.tools, control=step.control,
+        ))
+    return WorkflowState(sketch=tuple(sketch), executors=registry, revision=state.revision + 1)
 
 
 def _decide(rt: Runtime, state: WorkflowState, template: str, values: dict[str, object],
@@ -274,16 +259,16 @@ def _decide(rt: Runtime, state: WorkflowState, template: str, values: dict[str, 
     return decision
 
 
-def _validated(rt: Runtime, state: WorkflowState, decision: PlanDecision,
-             candidate: WorkflowState, init_count: int = 0) -> UpdateOutcome:
-    """`candidate` as the applied outcome when it validates, else `state`."""
+def _rejection(rt: Runtime, state: WorkflowState, decision: PlanDecision,
+               candidate: WorkflowState) -> UpdateOutcome | None:
+    """The outcome that keeps `state` when `candidate`, the state `decision`
+    builds, fails validation; None when it is valid."""
     violations = validate_state(candidate, rt.tools.names())
-    if violations:
-        logger.warning("applied plan failed validation: %s", violations)
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error="PlanInvalid: " + "; ".join(str(v) for v in violations))
-    return UpdateOutcome(state=candidate, decision=decision, applied=True,
-                         init_count=init_count)
+    if not violations:
+        return None
+    error = "PlanInvalid: " + "; ".join(str(v) for v in violations)
+    logger.warning("plan rejected: %s", error)
+    return UpdateOutcome(state=state, decision=decision, applied=False, error=error)
 
 
 def update_workflow(rt: Runtime, state: WorkflowState,
@@ -291,10 +276,10 @@ def update_workflow(rt: Runtime, state: WorkflowState,
                     metrics_info: str) -> UpdateOutcome:
     """Outer-loop sketch edit from a batch of workflow gradients.
 
-    Returns the original state on any failure (bad JSON, invalid plan, failed
-    initialization); returns a revision-bumped state only when the whole plan
-    applied. Old executors stay registered even when their steps disappear,
-    so later plans can still reuse them.
+    Returns the original state on any failure (bad JSON, a plan that
+    validate_state rejects, failed initialization); returns a revision-bumped
+    state only when the whole plan applied. Old executors stay registered
+    even when their steps disappear, so later plans can still reuse them.
     """
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
@@ -310,44 +295,41 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     if isinstance(decision, UpdateOutcome):
         return decision
 
-    problems = validate_plan(state, decision.plan, rt.tools.names())
-    if problems:
-        logger.warning("plan rejected: %s", "; ".join(problems))
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error="PlanInvalid: " + "; ".join(problems))
+    # Each new step stands in with an executor of its future kind and tools,
+    # under a name neither the registry nor the plan uses, so the plan is
+    # judged whole before any initialization is billed.
+    named = set(state.executors) | {step.executor_name for step in decision.plan}
+    stand_ins: list[ExecutorSpec | None] = []
+    for step in decision.plan:
+        stand_in = None
+        if step.executor_type == NEW:
+            stand_in = _executor(step, uniquify_name(f"NewStep{step.step_id}", named),
+                                 step.description, step.generation_guideline)
+            named.add(stand_in.name)
+        stand_ins.append(stand_in)
+    rejection = _rejection(rt, state, decision, _candidate(state, decision.plan, stand_ins))
+    if rejection is not None:
+        return rejection
 
-    new_executors: dict[str, ExecutorSpec] = {}
-    final_names: dict[int, str] = {}
+    # The applied state is valid by construction: each new executor has a
+    # sanitized, unique name and its stand-in's kind and tools, and InitFailed
+    # rules out an empty prompt.
+    new_executors: list[ExecutorSpec | None] = []
     taken = set(state.executors)
     try:
         for step in decision.plan:
+            spec = None
             if step.executor_type == NEW:
                 spec = init_executor(rt, step, sample_questions, taken)
-                new_executors[spec.name] = spec
                 taken.add(spec.name)
-                final_names[step.step_id] = spec.name
-            else:
-                final_names[step.step_id] = step.executor_name
+            new_executors.append(spec)
     except InitFailed as e:
         logger.warning("plan aborted: %s", e)
         return UpdateOutcome(state=state, decision=decision, applied=False,
                              error=f"InitFailed: {e}")
-
-    sketch = tuple(
-        StepSpec(
-            step_id=step.step_id,
-            description=step.description,
-            executor_name=final_names[step.step_id],
-            tool_names=step.tools,
-            control=step.control,
-        )
-        for step in decision.plan
-    )
-    executors = dict(state.executors)
-    executors.update(new_executors)
-    return _validated(rt, state, decision,
-                    WorkflowState(sketch=sketch, executors=executors, revision=state.revision + 1),
-                    init_count=len(new_executors))
+    return UpdateOutcome(state=_candidate(state, decision.plan, new_executors),
+                         decision=decision, applied=True,
+                         init_count=sum(spec is not None for spec in new_executors))
 
 
 def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
@@ -409,10 +391,9 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
         return decision
 
     executors = dict(state.executors)
-    sketch = []
+    bound = []
     for step in decision.plan:
         name = sanitize_executor_name(step.executor_name)
-        kind = TOOL_EXECUTOR if step.tools else LLM_EXECUTOR
         existing = executors.get(name)
         prompt = step.prompt or (existing.prompt if existing else "")
         if existing is not None:
@@ -421,16 +402,11 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
         else:
             version = 0
             description = step.description
-        executors[name] = ExecutorSpec(
-            name=name, kind=kind, description=description, prompt=prompt,
-            tool_names=tuple(step.tools), version=version,
-        )
-        sketch.append(StepSpec(
-            step_id=step.step_id, description=step.description, executor_name=name,
-            tool_names=step.tools, control=step.control,
-        ))
-    return _validated(rt, state, decision, WorkflowState(sketch=tuple(sketch), executors=executors,
-                                                       revision=state.revision + 1))
+        executors[name] = _executor(step, name, description, prompt, version)
+        bound.append(executors[name])
+    candidate = _candidate(state, decision.plan, bound)
+    return (_rejection(rt, state, decision, candidate)
+            or UpdateOutcome(state=candidate, decision=decision, applied=True))
 
 
 def update_all_prompts(rt: Runtime, state: WorkflowState,

@@ -179,6 +179,7 @@ MISTYPED_OR_MISSPELLED = [
     ({"models": {"executor_temperature": "hot"}}, "models.executor_temperature"),
     ({"seed": "0"}, "seed"),
     ({"models": {"max_output_tokens": 0}}, "models.max_output_tokens"),
+    ({"tools": {"top_k_default": 0}}, "tools.top_k_default"),
 ]
 
 
@@ -198,7 +199,7 @@ def test_bad_values_fail_at_load_naming_the_key(tmp_path, patch, key):
     result = CliRunner().invoke(main, ["train", "--config", str(config_path),
                                        "--run-dir", str(run_dir)])
     assert result.exit_code == 2
-    assert not (run_dir / "ledger.jsonl").exists()
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("patch,key", [

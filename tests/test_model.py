@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +212,17 @@ def test_serialized_step_carries_plan_fields_and_control():
 def test_control_json_round_trip():
     for control in (Sequential(), Route(targets={"b": 2, "a": 3}), Loop(max_iterations=2)):
         assert control_from_json(control_to_json(control)) == control
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "route", "targets": ["skip"]},
+    {"kind": "route", "targets": {"skip": [3]}},
+    {"kind": "loop", "max_iterations": None},
+])
+def test_control_of_the_wrong_shape_is_a_value_error(obj):
+    # Plans and checkpoints both read controls; each catches ValueError.
+    with pytest.raises(ValueError, match="control"):
+        control_from_json(obj)
 
 
 def test_updated_prompt_bumps_version_and_revision():

@@ -123,8 +123,9 @@ def reuse_step(step_id, name, tools=None, description=None):
     }
 
 
-def new_step(step_id, name, guideline="make a prompt", tools=None, description=None):
-    return {
+def new_step(step_id, name, guideline="make a prompt", tools=None, description=None,
+             control=None):
+    step = {
         "step_id": step_id,
         "description": description or f"new step {step_id}",
         "tools": tools or [],
@@ -132,6 +133,9 @@ def new_step(step_id, name, guideline="make a prompt", tools=None, description=N
         "executor_name": name,
         "generation_guideline": guideline,
     }
+    if control is not None:
+        step["control"] = control
+    return step
 
 
 def init_reply(name="Generated", kind="LLMExecutor"):
@@ -231,6 +235,19 @@ def test_plan_reusing_unknown_name_leaves_state_untouched():
        "executor_name": "step_1", "generation_guideline": ""}], "executor_type"),
     ([reuse_step(1, "step_1", tools=None), reuse_step(2, "step_2", tools=["unknown_tool"])],
      "unknown tool"),
+    # Plans that are bad only in a control marker: rejected before any new
+    # executor is initialized, too.
+    ([new_step(1, "a", control={"kind": "route", "targets": {"skip": 7}}), new_step(2, "b")],
+     "RouteTargetMissing"),
+    ([new_step(1, "a"), new_step(2, "b", control={"kind": "route", "targets": {"back": 1}})],
+     "BackwardRouteTarget"),
+    ([new_step(1, "a", control={"kind": "loop", "max_iterations": 0})],
+     "LoopIterationsOutOfRange"),
+    ([new_step(1, "a", control={"kind": "loop", "max_iterations": 9})],
+     "LoopIterationsOutOfRange"),
+    # A control marker of the wrong shape is a format error, not a crash.
+    ([new_step(1, "a", control={"kind": "route", "targets": ["skip"]})], "control"),
+    ([new_step(1, "a", control={"kind": "loop", "max_iterations": None})], "control"),
 ])
 def test_invalid_plans_are_rejected_with_reason(plan, expected):
     script = PurposeScript({Purpose.OPTIM_WORKFLOW: lambda r: plan_reply(plan),
