@@ -5,6 +5,10 @@ OpenAI-compatible HTTP endpoint, a scripted mock (a plain function from
 request to response text), and a record/replay store that makes any recorded
 run re-executable with zero network calls. The client layers call ledgering,
 budget enforcement, and JSON-repair retries on top.
+
+A backend says in `waits` whether its calls can wait on something outside
+the process, a network or a test's event; `can_wait` reads the answer, and
+`Runtime.fan_out` runs calls side by side only where they can.
 """
 
 from __future__ import annotations
@@ -104,6 +108,17 @@ class Backend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
+def can_wait(backend) -> bool:
+    """Whether calls to `backend` can wait, so that running them side by
+    side pays. A backend with a `waits` attribute says so itself; a wrapper
+    without one, with the backend it wraps in `inner`, is seen through;
+    any other backend is taken to wait."""
+    if hasattr(backend, "waits"):
+        return backend.waits
+    inner = getattr(backend, "inner", None)
+    return True if inner is None else can_wait(inner)
+
+
 class TransportError(RuntimeError):
     """HTTP call failed after all retry attempts."""
 
@@ -116,43 +131,23 @@ class ReplayMissError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Ordered fan-out tasks
+# Ordered fan-out commits
 # ---------------------------------------------------------------------------
 
-class FanOutTask:
-    """One item of an ordered fan-out (see `Runtime.fan_out`), as seen by the
-    backends below the client: the thread running the item has it current.
-
-    `turn` is set once every earlier item of the same fan-out is committed;
-    `deferred` holds actions that run when this item is committed, in item
-    order, on the thread that runs the fan-out.
-    """
-
-    def __init__(self, parent: "FanOutTask | None"):
-        self.parent = parent
-        self.turn = threading.Event()
-        self.deferred: list[Callable[[], None]] = []
-
-
-CURRENT_TASK: ContextVar[FanOutTask | None] = ContextVar("flowtune_fan_out_task", default=None)
-
-
-def wait_for_turn() -> None:
-    """Block until the calling item, and each item it is nested in, is the
-    oldest uncommitted item of its fan-out. A no-op outside a fan-out."""
-    task = CURRENT_TASK.get()
-    while task is not None:
-        task.turn.wait()
-        task = task.parent
+# The actions deferred to the commit of the fan-out item being run (see
+# `Runtime.fan_out`); None outside a fan-out.
+DEFERRED: ContextVar[list[Callable[[], None]] | None] = ContextVar("flowtune_deferred",
+                                                                 default=None)
 
 
 def at_commit(action: Callable[[], None]) -> None:
-    """Run `action` when the calling item is committed; at once outside a fan-out."""
-    task = CURRENT_TASK.get()
-    if task is None:
+    """Run `action` when the calling fan-out item is committed, in item
+    order, on the thread that runs the fan-out; at once outside a fan-out."""
+    deferred = DEFERRED.get()
+    if deferred is None:
         action()
     else:
-        task.deferred.append(action)
+        deferred.append(action)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +170,11 @@ class ScriptedMockBackend:
     """Deterministic backend driven by a plain function of the request.
 
     Token counts are whitespace word counts, so ledgers stay meaningful and
-    reproducible under mocks.
+    reproducible under mocks. Its calls count as waiting, because a test's
+    script may block on events to exercise the fan-out's thread pool.
     """
+
+    waits = True
 
     def __init__(self, script: Callable[[ChatRequest], str] = echo_script):
         self.script = script
@@ -215,6 +213,8 @@ class HttpBackend:
     opens a new one. So does a server closing an idle connection, which is
     noticed before the connection is used again.
     """
+
+    waits = True
 
     def __init__(self, endpoint: str, api_key_env: str = "", timeout_s: float = 60.0,
                  max_attempts: int = 3, backoff_base_s: float = 0.5,
@@ -376,9 +376,10 @@ class ReplayBackend:
     failed with a `TransportError` is recorded as a row with its "error" in
     place of a response, and replays as the same failure, in its place.
 
-    Inside a fan-out, both modes keep the serial order: record mode writes
-    a task's rows when the task is committed, and replay mode serves a key
-    with more than one recorded response only on the task's turn.
+    Both modes keep the serial order. Record mode writes a fan-out item's
+    rows when the item is committed, and waits as its inner backend does.
+    Replay mode answers from memory and never waits, so fan-outs over it run
+    inline, in serial order, and its cursors need no lock.
     """
 
     def __init__(self, store_path: str | Path, mode: str, inner: Backend | None = None):
@@ -389,30 +390,40 @@ class ReplayBackend:
         self.store_path = Path(store_path)
         self.mode = mode
         self.inner = inner
-        self._lock = threading.Lock()
         # A response, or the message of a recorded TransportError.
         self._responses: dict[str, list[ChatResponse | str]] = {}
         self._cursors: dict[str, int] = {}
         if mode == REPLAY:
             self._load()
 
+    @property
+    def waits(self) -> bool:
+        return self.mode == RECORD and can_wait(self.inner)
+
     def _load(self) -> None:
+        """Read the store; a row that does not parse, such as a last line cut
+        short, is a ValueError naming the store and the line."""
         if not self.store_path.exists():
             return
         with open(self.store_path, encoding="utf-8") as f:
-            for line in f:
+            for number, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
-                resp = row.get("response")
-                entry = row["error"] if resp is None else ChatResponse(
-                    content=resp["content"],
-                    input_tokens=int(resp.get("input_tokens", 0)),
-                    output_tokens=int(resp.get("output_tokens", 0)),
-                    latency_s=float(resp.get("latency_s", 0.0)),
-                )
-                self._responses.setdefault(row["key"], []).append(entry)
+                try:
+                    row = json.loads(line)
+                    resp = row.get("response")
+                    entry = row["error"] if resp is None else ChatResponse(
+                        content=resp["content"],
+                        input_tokens=int(resp.get("input_tokens", 0)),
+                        output_tokens=int(resp.get("output_tokens", 0)),
+                        latency_s=float(resp.get("latency_s", 0.0)),
+                    )
+                    key = row["key"]
+                except (ValueError, LookupError, TypeError, AttributeError) as e:
+                    raise ValueError(f"replay store {self.store_path}, line {number}: "
+                                     f"unreadable row: {e!r}") from e
+                self._responses.setdefault(key, []).append(entry)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request_replay_key(request)
@@ -420,11 +431,8 @@ class ReplayBackend:
             recorded = self._responses.get(key)
             if not recorded:
                 raise ReplayMissError(key, request)
-            if len(recorded) > 1:
-                wait_for_turn()
-            with self._lock:
-                cursor = self._cursors.get(key, 0)
-                self._cursors[key] = cursor + 1
+            cursor = self._cursors.get(key, 0)
+            self._cursors[key] = cursor + 1
             entry = recorded[min(cursor, len(recorded) - 1)]
             if isinstance(entry, str):
                 raise TransportError(entry)

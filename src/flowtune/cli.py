@@ -17,7 +17,7 @@ import click
 
 from .config import ConfigError, RunConfig, build_runtime, load_config
 from .evaluation import DatasetError, Sample, get_metric, load_dataset, metric_info
-from .model import InvalidStateError, SchemaVersionMismatch, WorkflowState, require_valid
+from .model import InvalidStateError, WorkflowState, require_valid
 from .optimizer import BootstrapFailed, bootstrap_workflow
 from .runtime import Runtime
 from .store import (
@@ -140,8 +140,7 @@ def cmd_eval(checkpoint, dataset_path, metric_name, config_path) -> None:
         if not samples:
             raise DatasetError(f"dataset is empty: {dataset_path}")
         rt = build_runtime(cfg)
-    except (ConfigError, DatasetError, SchemaVersionMismatch, InvalidStateError,
-            KeyError, FileNotFoundError) as e:
+    except (OSError, KeyError, ValueError) as e:  # ConfigError, DatasetError, bad checkpoints
         _fail(USAGE_EXIT, str(e))
     try:
         summary = evaluate(rt, state, samples, metric_name)
@@ -181,8 +180,7 @@ def cmd_inspect(checkpoint, prompt_chars) -> None:
     """Render a checkpoint's sketch as a table; tool steps carry a (T) marker."""
     try:
         state = load_checkpoint(checkpoint)
-    except (FileNotFoundError, SchemaVersionMismatch, InvalidStateError,
-            json.JSONDecodeError, KeyError) as e:
+    except (OSError, KeyError, ValueError) as e:
         _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
     print(f"revision {state.revision}, {len(state.sketch)} steps")
     print("step | description | executor | tools | prompt")

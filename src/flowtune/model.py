@@ -37,6 +37,14 @@ class InvalidStateError(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; a float, a bool or a string is a
+    ValueError, not a number to round."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def canonical_json(obj) -> str:
     """Stable JSON for files: sorted keys, UTF-8 text, LF lines, trailing newline."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
@@ -99,10 +107,11 @@ def control_from_json(obj) -> Control:
         return Sequential()
     try:
         if kind == "route":
-            return Route(targets={str(k): int(v) for k, v in obj.get("targets", {}).items()})
+            return Route(targets={str(k): json_int(v, f"route target {k!r}")
+                                  for k, v in obj.get("targets", {}).items()})
         if kind == "loop":
-            return Loop(max_iterations=int(obj.get("max_iterations", 1)))
-    except (AttributeError, TypeError) as e:  # targets not an object, a value not a number
+            return Loop(max_iterations=json_int(obj.get("max_iterations", 1), "max_iterations"))
+    except (AttributeError, ValueError) as e:  # targets not an object, a value not an integer
         raise ValueError(f"bad {kind} control: {e}") from e
     raise ValueError(f"unknown control kind: {kind!r}")
 
@@ -396,7 +405,7 @@ def state_from_json_obj(obj: dict) -> WorkflowState:
         raise SchemaVersionMismatch(f"schema_version {version!r}, this build reads {SCHEMA_VERSION}")
     sketch = tuple(
         StepSpec(
-            step_id=int(s["step_id"]),
+            step_id=json_int(s["step_id"], "step_id"),
             description=str(s["description"]),
             executor_name=str(s["executor_name"]),
             tool_names=tuple(str(t) for t in s.get("tools", [])),
@@ -411,11 +420,12 @@ def state_from_json_obj(obj: dict) -> WorkflowState:
             description=str(e["description"]),
             prompt=str(e["prompt"]),
             tool_names=tuple(str(t) for t in e.get("tool_names", [])),
-            version=int(e.get("version", 0)),
+            version=json_int(e.get("version", 0), "version"),
         )
         for name, e in sorted(obj["executors"].items())
     }
-    return WorkflowState(sketch=sketch, executors=executors, revision=int(obj["revision"]))
+    return WorkflowState(sketch=sketch, executors=executors,
+                         revision=json_int(obj["revision"], "revision"))
 
 
 def deserialize_state(text: str) -> WorkflowState:

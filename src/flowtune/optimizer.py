@@ -39,6 +39,7 @@ from .model import (
     TokenUsage,
     WorkflowState,
     control_from_json,
+    json_int,
     validate_state,
 )
 from .runtime import Runtime
@@ -110,7 +111,7 @@ def _parse_plan_step(obj, inline_prompts: bool) -> PlanStep:
     if not isinstance(obj, dict):
         raise PlanFormatError(f"plan step must be an object, got {type(obj).__name__}")
     try:
-        step_id = int(obj["step_id"])
+        step_id = json_int(obj["step_id"], "step_id")
         description = str(obj["description"])
         executor_name = str(obj["executor_name"])
     except (KeyError, TypeError, ValueError) as e:

@@ -1,5 +1,6 @@
 """Shared execution context: client, model settings, templates, tools, clock,
-and the ordered fan-out that runs independent calls concurrently."""
+and the ordered fan-out that runs independent calls concurrently where the
+backend's calls can wait."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, TypeVar
 
-from .backend import CURRENT_TASK, ChatClient, ChatRequest, FanOutTask, Message, Purpose, at_commit
+from .backend import DEFERRED, ChatClient, ChatRequest, Message, Purpose, at_commit, can_wait
 from .model import LOOP_DONE_SENTINEL
 from .store import LogicalClock
 from .templates import PromptLibrary, load_templates
@@ -66,9 +67,11 @@ class Runtime:
     def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T]) -> list[R]:
         """`fn(view, item)` for every item; the results in item order.
 
-        Up to `concurrency` items run at once on a persistent thread pool; at
-        concurrency 1, or for a single item, they run inline, one after the
-        other, through the same steps. Each item runs against a view of this
+        Up to `concurrency` items run at once on a persistent thread pool.
+        They run inline, one after the other, through the same steps, at
+        concurrency 1, for a single item, or when the client's backend cannot
+        wait (see `can_wait`): a replay answers from memory, and the pool
+        would only add its own cost. Each item runs against a view of this
         runtime that buffers its ledger rows and clock readings, and the
         buffers are committed here in item order, so ledger indices and
         timestamps come out exactly as in a serial run. When items raise,
@@ -79,10 +82,9 @@ class Runtime:
         """
         items = list(items)
         tasks = [_Task(self) for _ in items]
-        if self.concurrency == 1 or len(items) <= 1:
+        if self.concurrency == 1 or len(items) <= 1 or not can_wait(self.client.backend):
             results = []
             for task, item in zip(tasks, items):
-                task.turn.set()
                 try:
                     results.append(task.run(fn, item))
                 finally:
@@ -93,7 +95,6 @@ class Runtime:
         futures = [self._pool.submit(task.run, fn, item) for task, item in zip(tasks, items)]
         results, error = [], None
         for i, (task, future) in enumerate(zip(tasks, futures)):
-            task.turn.set()
             try:
                 results.append(future.result())
             except CancelledError:
@@ -142,22 +143,22 @@ class Runtime:
         ))
 
 
-class _Task(FanOutTask):
+class _Task:
     """One item of `Runtime.fan_out`: its runtime view and their buffers."""
 
     def __init__(self, rt: Runtime):
-        super().__init__(parent=CURRENT_TASK.get())
         self.rt = rt
         self.ledger = rt.client.ledger.fork()
         self.view = replace(rt, client=rt.client.with_ledger(self.ledger),
                             clock=self.ledger.clock, concurrency=1)
+        self.deferred: list[Callable[[], None]] = []
 
     def run(self, fn, item):
-        token = CURRENT_TASK.set(self)
+        token = DEFERRED.set(self.deferred)
         try:
             return fn(self.view, item)
         finally:
-            CURRENT_TASK.reset(token)
+            DEFERRED.reset(token)
 
     def commit(self) -> None:
         self.rt.client.ledger.absorb(self.ledger)

@@ -303,7 +303,11 @@ def _update_prompts(rt: Runtime, state: WorkflowState,
                     num_samples: int) -> WorkflowState:
     """One prompt update per live executor, as one fan-out. Each request
     holds only its executor's prompt and the sketch, which these updates do
-    not change, so they are applied afterwards in `live_executor_names` order."""
+    not change, so they are applied afterwards in `live_executor_names` order.
+
+    An update the backend cannot serve does not stop the others: every
+    update is made, so the same calls are billed however the fan-out ran,
+    and then the first failure is raised, which halts the run."""
     jobs = []
     for name in state.live_executor_names():
         served = [s.step_id for s in state.sketch if s.executor_name == name]
@@ -315,10 +319,18 @@ def _update_prompts(rt: Runtime, state: WorkflowState,
         ]
         if relevant:
             jobs.append((name, relevant))
-    updates = rt.fan_out(
-        lambda view, job: update_prompt(view, state, state.executors[job[0]], job[1],
-                                        num_samples=num_samples),
-        jobs)
+
+    def one(view: Runtime, job):
+        try:
+            return update_prompt(view, state, state.executors[job[0]], job[1],
+                                 num_samples=num_samples)
+        except TransportError as e:
+            return e
+
+    updates = rt.fan_out(one, jobs)
+    failure = next((u for u in updates if isinstance(u, TransportError)), None)
+    if failure is not None:
+        raise failure
     updated = state
     for (name, _), update in zip(jobs, updates):
         if update is not None:

@@ -14,6 +14,7 @@ from flowtune.backend import (
     BudgetExceeded,
     ChatClient,
     ChatRequest,
+    ChatResponse,
     HttpBackend,
     JsonRetryExhausted,
     MalformedJson,
@@ -27,6 +28,7 @@ from flowtune.backend import (
     ScriptedMockBackend,
     TransportError,
     _environment_proxy,
+    can_wait,
     echo_script,
     extract_json,
     render_fenced,
@@ -239,6 +241,36 @@ def test_repeated_identical_requests_replay_in_recorded_order(tmp_path):
     assert replayer.complete(req("x")).content == "call 1"
     assert replayer.complete(req("x")).content == "call 2"
     assert replayer.complete(req("x")).content == "call 2"  # sticks at last
+
+
+class Wrapper:
+    """A pass-through backend that says nothing of waiting."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, request):
+        return self.inner.complete(request)
+
+
+class Bare:
+    def complete(self, request):
+        return ChatResponse("ok")
+
+
+@pytest.mark.parametrize("make, waits", [
+    (lambda store: HttpBackend("http://127.0.0.1:9"), True),
+    (lambda store: ScriptedMockBackend(), True),
+    (lambda store: ReplayBackend(store, REPLAY), False),
+    (lambda store: ReplayBackend(store, RECORD, inner=ScriptedMockBackend()), True),
+    (lambda store: ReplayBackend(store, RECORD, inner=ReplayBackend(store, REPLAY)), False),
+    (lambda store: Wrapper(ReplayBackend(store, REPLAY)), False),
+    (lambda store: Wrapper(ScriptedMockBackend()), True),
+    (lambda store: Bare(), True),
+], ids=["http", "scripted", "replay", "record-over-scripted", "record-over-replay",
+        "wrapper-over-replay", "wrapper-over-scripted", "neither"])
+def test_can_wait(tmp_path, make, waits):
+    assert can_wait(make(tmp_path / "store.jsonl")) is waits
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from click.testing import CliRunner
 from flowtune.backend import ChatRequest, Message, Purpose, TransportError
 from flowtune.cli import main
 from flowtune.config import MOCK_SCRIPTS, canned_script
+from flowtune.model import serialize_state
 from flowtune.templates import TEMPLATE_NAMES, load_templates
 
 from . import golden_scenario as G
-from .helpers import chat_stub, clear_proxy_env
+from .helpers import chain_state, chat_stub, clear_proxy_env
 from .test_golden_replay import golden_run  # noqa: F401 - reused fixture
 
 
@@ -292,6 +293,14 @@ def test_inspect_rejects_garbage(tmp_path, runner):
     assert result.exit_code == 2
 
 
+def test_inspect_rejects_a_number_that_is_not_an_integer(tmp_path, runner):
+    path = tmp_path / "ck.json"
+    path.write_text(serialize_state(chain_state(1)).replace('"revision": 0', '"revision": 2.7'))
+    result = runner.invoke(main, ["inspect", "--checkpoint", str(path)])
+    assert result.exit_code == 2
+    assert "revision must be an integer" in result.output
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -349,6 +358,20 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
+
+
+def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, record=True)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    store = tmp_path / "store.jsonl"
+    rows = len(store.read_text().splitlines())
+    store.write_bytes(store.read_bytes()[:-40])
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert f"{store}, line {rows}: unreadable row" in error
 
 
 def test_replay_requires_complete_run_dir(tmp_path, runner):

@@ -1,5 +1,5 @@
-"""Ordered fan-out: artifacts are byte-identical at every concurrency, replay
-cursors follow item order, and budgets hold under a thread pool."""
+"""Ordered fan-out: artifacts are byte-identical at every concurrency, a
+replay runs inline in item order, and budgets hold under a thread pool."""
 
 import hashlib
 import re
@@ -144,12 +144,14 @@ def test_record_store_rows_follow_serial_order(tmp_path):
 
 
 class DelayFirstArrival:
-    """Holds back the first request of each key, so that an identical
-    request from a later item reaches the inner backend first."""
+    """Holds back the first request of each key, so that, on a thread pool,
+    an identical request from a later item would reach the inner backend
+    first. Notes the thread of every call."""
 
-    def __init__(self, inner, delay_s: float = 0.05):
+    def __init__(self, inner, delay_s: float = 0.01):
         self.inner = inner
         self.delay_s = delay_s
+        self.threads: list[threading.Thread] = []
         self._seen: set[str] = set()
         self._lock = threading.Lock()
 
@@ -158,12 +160,13 @@ class DelayFirstArrival:
         with self._lock:
             first = key not in self._seen
             self._seen.add(key)
+            self.threads.append(threading.current_thread())
         if first:
             time.sleep(self.delay_s)
         return self.inner.complete(request)
 
 
-def test_identical_requests_replay_in_item_order(tmp_path):
+def test_a_replay_fans_out_inline_at_any_concurrency(tmp_path):
     counter = iter(range(1000))
 
     def numbered(request):
@@ -180,13 +183,37 @@ def test_identical_requests_replay_in_item_order(tmp_path):
         rt = Runtime(client=ChatClient(backend, RunLedger(clock=clock)), clock=clock,
                      concurrency=concurrency)
         summary = evaluate(rt, state, samples, "exact_match")
-        return [p.prediction for p in summary.per_sample]
+        return rt, [p.prediction for p in summary.per_sample]
 
-    serial = outputs(ReplayBackend(store, RECORD, inner=ScriptedMockBackend(numbered)), 1)
+    _, serial = outputs(ReplayBackend(store, RECORD, inner=ScriptedMockBackend(numbered)), 1)
     assert serial[0] != serial[1]  # distinct recorded replies for one key
-    for _ in range(3):
-        replayed = outputs(DelayFirstArrival(ReplayBackend(store, REPLAY)), 8)
-        assert replayed == serial
+    # The wrapper has no `waits` of its own; the replay under it cannot wait.
+    delayed = DelayFirstArrival(ReplayBackend(store, REPLAY))
+    rt, replayed = outputs(delayed, 8)
+    assert delayed.threads == [threading.current_thread()] * 6  # 3 samples, 2 steps
+    assert rt._pool is None
+    assert replayed == serial
+
+
+def test_only_a_backend_that_can_wait_fans_out_on_the_pool(tmp_path):
+    def threads(backend) -> list[threading.Thread]:
+        clock = LogicalClock()
+        rt = Runtime(client=ChatClient(backend, RunLedger(clock=clock)), clock=clock)
+
+        def item(view, n):
+            ask(view, "same")
+            return threading.current_thread()
+
+        try:
+            return rt.fan_out(item, range(4))
+        finally:
+            rt.close()
+
+    store = tmp_path / "store.jsonl"
+    here = threading.current_thread()
+    assert here not in threads(ScriptedMockBackend())
+    assert here not in threads(ReplayBackend(store, RECORD, inner=ScriptedMockBackend()))
+    assert threads(ReplayBackend(store, REPLAY)) == [here] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,11 @@ def test_control_json_round_trip():
     {"kind": "route", "targets": ["skip"]},
     {"kind": "route", "targets": {"skip": [3]}},
     {"kind": "loop", "max_iterations": None},
+    # A number that is not a JSON integer is rejected, not rounded.
+    {"kind": "route", "targets": {"skip": 3.5}},
+    {"kind": "route", "targets": {"skip": "3"}},
+    {"kind": "loop", "max_iterations": 2.7},
+    {"kind": "loop", "max_iterations": True},
 ])
 def test_control_of_the_wrong_shape_is_a_value_error(obj):
     # Plans and checkpoints both read controls; each catches ValueError.

@@ -248,6 +248,13 @@ def test_plan_reusing_unknown_name_leaves_state_untouched():
     # A control marker of the wrong shape is a format error, not a crash.
     ([new_step(1, "a", control={"kind": "route", "targets": ["skip"]})], "control"),
     ([new_step(1, "a", control={"kind": "loop", "max_iterations": None})], "control"),
+    # So is a number that is not a JSON integer: it is not rounded.
+    ([reuse_step(1.9, "step_1"), reuse_step(2, "step_2")], "plan_format"),
+    ([reuse_step(True, "step_1"), reuse_step(2, "step_2")], "plan_format"),
+    ([reuse_step("1", "step_1"), reuse_step(2, "step_2")], "plan_format"),
+    ([new_step(1, "a", control={"kind": "loop", "max_iterations": 2.7})], "control"),
+    ([new_step(1, "a", control={"kind": "route", "targets": {"skip": 3.5}}), new_step(2, "b"),
+      new_step(3, "c")], "control"),
 ])
 def test_invalid_plans_are_rejected_with_reason(plan, expected):
     script = PurposeScript({Purpose.OPTIM_WORKFLOW: lambda r: plan_reply(plan),

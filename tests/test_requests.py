@@ -11,21 +11,30 @@ placeholder of its template.
 """
 
 import hashlib
-from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 
-from flowtune.backend import Purpose, request_replay_key
+from flowtune.backend import (
+    RECORD,
+    REPLAY,
+    ChatClient,
+    Purpose,
+    ReplayBackend,
+    ScriptedMockBackend,
+    TransportError,
+    request_replay_key,
+)
 from flowtune.evaluation import Sample, exact_match, metric_info
 from flowtune.forward import parse_envelope
 from flowtune.optimizer import bootstrap_workflow
+from flowtune.runtime import Runtime
 from flowtune.templates import _PLACEHOLDER_RE, TEMPLATE_NAMES, load_templates
 from flowtune.tools import CorpusDoc, CorpusIndex, ToolRegistry, make_corpus_search_tool
-from flowtune.store import LedgerRow
-from flowtune.trainer import RunRecord, TrainConfig, train
+from flowtune.store import LedgerRow, LogicalClock, RunLedger
+from flowtune.trainer import RunRecord, TrainConfig, TrainResult, train
 
-from .helpers import PurposeScript, fenced, make_runtime
+from .helpers import PurposeScript, fenced
 
 MODES = ("full", "prompt_only", "no_bilevel", "no_layerwise")
 
@@ -130,17 +139,25 @@ class PinnedRun(NamedTuple):
     records: tuple[RunRecord, ...]
 
 
-def scripted_run(mode: str) -> PinnedRun:
-    script = make_script()
+def play(backend, mode: str, concurrency: int = 1) -> tuple[tuple[LedgerRow, ...], TrainResult]:
+    """The pinned run's shape, bootstrap included, over `backend`."""
     registry = ToolRegistry()
     registry.register(*make_corpus_search_tool(CorpusIndex(CORPUS)))
-    rt = replace(make_runtime(script, tools=registry), concurrency=1)
-    info = metric_info("exact_match")
-    state0 = bootstrap_workflow(rt, TRAIN, exact_match, info)
+    clock = LogicalClock()
+    rt = Runtime(client=ChatClient(backend, RunLedger(clock=clock)), tools=registry,
+                 clock=clock, concurrency=concurrency)
+    state0 = bootstrap_workflow(rt, TRAIN, exact_match, metric_info("exact_match"))
     config = TrainConfig(batch_size=2, bilevel_rounds_per_batch=1, inner_steps_per_round=2,
                          mode=mode, seed=None)
     result = train(rt, config, TRAIN, VAL, state0, "exact_match")
-    return PinnedRun(script, rt.client.ledger.rows, result.records)
+    rt.close()
+    return rt.client.ledger.rows, result
+
+
+def scripted_run(mode: str) -> PinnedRun:
+    script = make_script()
+    ledger, result = play(ScriptedMockBackend(script), mode)
+    return PinnedRun(script, ledger, result.records)
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +206,34 @@ def test_pinned_runs_exercise_tools_and_repair(runs):
     assert any(len(r.messages) > 2 and r.purpose == Purpose.FORWARD for r in calls)
     assert any(len(r.messages) > 2 and r.purpose == Purpose.GRAD_LOSS for r in calls)
     assert runs["full"].script.count(Purpose.INIT_EXECUTOR) > 0
+
+
+# ---------------------------------------------------------------------------
+# A failed prompt update, recorded at one concurrency, replayed at others
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, n", [("full", 28), ("prompt_only", 18)])
+def test_a_failed_prompt_update_replays_alike_at_every_concurrency(runs, tmp_path, mode, n):
+    """The n-th request of the pinned run is the first of two executors'
+    prompt updates. Failing it halts the run, after the other executor's
+    update has been made and billed whichever way the fan-out ran."""
+    doomed = runs[mode].script.calls[n - 1]
+    assert doomed.purpose == Purpose.OPTIM_CALL
+    doomed_key = request_replay_key(doomed)
+    script = make_script()
+
+    def failing(request):
+        if request_replay_key(request) == doomed_key:
+            raise TransportError("connection dropped")
+        return script(request)
+
+    store = tmp_path / "store.jsonl"
+    recorded, result = play(ReplayBackend(store, RECORD, inner=ScriptedMockBackend(failing)),
+                            mode, concurrency=8)
+    assert result.halted_early
+    assert len(recorded) == n
+    assert recorded[-1].purpose == Purpose.OPTIM_CALL.value
+    for concurrency in (1, 8):
+        replayed, replay_result = play(ReplayBackend(store, REPLAY), mode, concurrency)
+        assert replayed == recorded
+        assert replay_result == result

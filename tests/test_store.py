@@ -137,6 +137,26 @@ def test_future_schema_version_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where, value", [
+    (("sketch", 0, "step_id"), 1.9),
+    (("sketch", 0, "step_id"), True),
+    (("revision",), "3"),
+    (("executors", "step_1", "version"), 2.7),
+    (("sketch", 0, "control"), {"kind": "loop", "max_iterations": 2.7}),
+])
+def test_a_checkpoint_number_that_is_not_an_integer_is_a_load_error(tmp_path, where, value):
+    path = tmp_path / "ck.json"
+    write_checkpoint(chain_state(1), path)
+    obj = json.loads(path.read_text())
+    target = obj
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_checkpoint(path)
+
+
 def test_run_directory_layout(tmp_path):
     run_dir = RunDirectory(tmp_path / "run")
     state = chain_state(1)
