@@ -29,6 +29,7 @@ import urllib.request
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -96,11 +97,12 @@ def request_replay_key(request: ChatRequest) -> str:
     max_output_tokens is deliberately excluded so tuning the token cap does
     not invalidate existing replay stores.
     """
-    payload = compact_json([
-        request.model_id,
-        [[m.role, m.content] for m in request.messages],
-        request.temperature,
-    ])
+    # Byte for byte `compact_json([model_id, [[role, content], ...],
+    # temperature])`, written out string by string.
+    messages = ",".join(f"[{encode_basestring(m.role)},{encode_basestring(m.content)}]"
+                        for m in request.messages)
+    payload = (f"[{encode_basestring(request.model_id)},[{messages}],"
+               f"{json.dumps(request.temperature)}]")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -568,20 +570,21 @@ class _BudgetState:
     flight can overshoot `max_cost_usd`.
     """
 
-    def __init__(self, issued: int, spent_micro: int):
+    def __init__(self, budget: Budget | None, issued: int, spent_micro: int):
         self._lock = threading.Lock()
+        self._budget = budget or Budget()
+        self._max_cost_micro = (None if self._budget.max_cost_usd is None
+                                else int(round(self._budget.max_cost_usd * 1_000_000)))
         self._issued = issued
         self._spent_micro = spent_micro
 
-    def reserve(self, budget: Budget | None) -> None:
+    def reserve(self) -> None:
         with self._lock:
-            if budget is not None:
-                if budget.max_calls is not None and self._issued + 1 > budget.max_calls:
-                    raise BudgetExceeded(f"call budget {budget.max_calls} reached")
-                if budget.max_cost_usd is not None:
-                    limit_micro = int(round(budget.max_cost_usd * 1_000_000))
-                    if self._spent_micro >= limit_micro:
-                        raise BudgetExceeded(f"cost budget ${budget.max_cost_usd} reached")
+            max_calls = self._budget.max_calls
+            if max_calls is not None and self._issued + 1 > max_calls:
+                raise BudgetExceeded(f"call budget {max_calls} reached")
+            if self._max_cost_micro is not None and self._spent_micro >= self._max_cost_micro:
+                raise BudgetExceeded(f"cost budget ${self._budget.max_cost_usd} reached")
             self._issued += 1
 
     def release(self) -> None:
@@ -609,7 +612,7 @@ class ChatClient:
         self.backend = backend
         self.ledger = ledger
         self.budget = budget
-        self._usage = _BudgetState(ledger.call_count, ledger.total_cost_micro)
+        self._usage = _BudgetState(budget, ledger.call_count, ledger.total_cost_micro)
 
     def with_ledger(self, ledger: RunLedger) -> "ChatClient":
         """A view that records into `ledger` and shares this client's backend
@@ -619,7 +622,7 @@ class ChatClient:
         return view
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        self._usage.reserve(self.budget)
+        self._usage.reserve()
         try:
             response = self.backend.complete(request)
         except BaseException:

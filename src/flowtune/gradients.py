@@ -172,15 +172,16 @@ def _ask(rt: Runtime, template: str, values: dict[str, object], purpose: Purpose
 
 def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
               eval_result: EvalResult, metrics_info: str,
-              step_id: int | None = None) -> TextualGradient:
-    """Gradient for the final executed step, straight from the loss."""
+              step_id: int | None = None, *, sketch: str | None = None) -> TextualGradient:
+    """Gradient for the final executed step, straight from the loss. `sketch`
+    is `render_workflow_sketch(state)`, when the caller has it already."""
     target = step_id if step_id is not None else trace.records[-1].step_id
     record = trace.last_record_for(target)
     if record is None:
         raise GradientUnavailable(sample.id, f"step {target} (not executed)")
     step = state.step(target)
     text = _ask(rt, "grad_loss", {
-        "workflow_sketch": render_workflow_sketch(state),
+        "workflow_sketch": render_workflow_sketch(state) if sketch is None else sketch,
         "question": sample.question,
         "ground_truth": sample.answer,
         "metrics_info": metrics_info,
@@ -196,8 +197,10 @@ def grad_loss(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: 
 
 
 def grad_backprop(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
-                  step_id: int, next_gradient: TextualGradient) -> TextualGradient:
-    """Chain-rule gradient: how should this step's output change for the next."""
+                  step_id: int, next_gradient: TextualGradient, *,
+                  sketch: str | None = None) -> TextualGradient:
+    """Chain-rule gradient: how should this step's output change for the next.
+    `sketch` is as in `grad_loss`."""
     record = trace.last_record_for(step_id)
     if record is None:
         raise GradientUnavailable(sample.id, f"step {step_id} (not executed)")
@@ -206,7 +209,7 @@ def grad_backprop(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, samp
     step = state.step(step_id)
     next_step = state.step(next_id)
     text = _ask(rt, "grad_backprop", {
-        "workflow_sketch": render_workflow_sketch(state),
+        "workflow_sketch": render_workflow_sketch(state) if sketch is None else sketch,
         "question": sample.question,
         "step_id": step.step_id,
         "step_description": step.description,
@@ -249,12 +252,13 @@ def backward(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: S
             step_id, f"Step {step_id} was not executed ({reason} at step {last_executed}).",
             sample.id)
 
+    sketch = render_workflow_sketch(state)
     gradients[last_executed] = grad_loss(rt, state, trace, sample, eval_result,
-                                         metrics_info, step_id=last_executed)
+                                         metrics_info, step_id=last_executed, sketch=sketch)
     downstream = gradients[last_executed]
     for step_id in range(last_executed - 1, 0, -1):
         if step_id in executed:
-            g = grad_backprop(rt, state, trace, sample, step_id, downstream)
+            g = grad_backprop(rt, state, trace, sample, step_id, downstream, sketch=sketch)
             gradients[step_id] = g
             downstream = g
         else:

@@ -334,9 +334,11 @@ def update_workflow(rt: Runtime, state: WorkflowState,
 
 
 def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
-                  gradients: list[TextualGradient], num_samples: int) -> PromptUpdate | None:
+                  gradients: list[TextualGradient], num_samples: int, *,
+                  sketch: str | None = None) -> PromptUpdate | None:
     """One TGD step for one executor. Returns None when the meta reply could
-    not be parsed; the caller keeps the old prompt in that case."""
+    not be parsed; the caller keeps the old prompt in that case. `sketch` is
+    `render_workflow_sketch(state)`, when the caller has it already."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
     if num_samples < 1:
@@ -348,7 +350,7 @@ def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
                              f"executor {executor.name}")
     try:
         obj = rt.meta_json("optim_call", {
-            "workflow_sketch": render_workflow_sketch(state),
+            "workflow_sketch": render_workflow_sketch(state) if sketch is None else sketch,
             "executor_name": executor.name,
             "executor_type": executor.kind,
             "executor_tools": ", ".join(executor.tool_names) if executor.tool_names else "none",

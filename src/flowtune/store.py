@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import lru_cache
 from pathlib import Path
 
 from . import model
-
-MICRO = Decimal("0.000001")
 
 
 class LogicalClock:
@@ -71,13 +70,16 @@ class PriceTable:
         return PriceTable(prices)
 
     def cost_micro(self, model_id: str, input_tokens: int, output_tokens: int) -> tuple[int, bool]:
-        """(cost in micro-dollars rounded half-even, unknown-model flag)."""
+        """(cost in micro-dollars rounded half-even, unknown-model flag).
+
+        A price per million tokens times a token count is already in
+        micro-dollars."""
         price = self._prices.get(model_id)
         if price is None:
             return 0, True
-        usd = (Decimal(input_tokens) * price.input_per_1m
-               + Decimal(output_tokens) * price.output_per_1m) / Decimal(1_000_000)
-        return int(usd.quantize(MICRO, rounding=ROUND_HALF_EVEN) / MICRO), False
+        micro = (Decimal(input_tokens) * price.input_per_1m
+                 + Decimal(output_tokens) * price.output_per_1m)
+        return int(micro.to_integral_value(ROUND_HALF_EVEN)), False
 
 
 def micro_to_usd_str(micro: int) -> str:
@@ -85,6 +87,11 @@ def micro_to_usd_str(micro: int) -> str:
     sign = "-" if micro < 0 else ""
     micro = abs(micro)
     return f"{sign}{micro // 1_000_000}.{micro % 1_000_000:06d}"
+
+
+# A run names only a handful of purposes and models, so each row reuses their
+# JSON-quoted form.
+_json_str = lru_cache(maxsize=64)(json.dumps)
 
 
 @dataclass(frozen=True)
@@ -99,18 +106,16 @@ class LedgerRow:
     warn: bool = False
 
     def to_line(self) -> str:
-        fields = (
-            f'"idx": {self.idx}, '
-            f'"purpose": {json.dumps(self.purpose)}, '
-            f'"model": {json.dumps(self.model)}, '
+        warn = ', "warn": true' if self.warn else ""
+        return (
+            f'{{"idx": {self.idx}, '
+            f'"purpose": {_json_str(self.purpose)}, '
+            f'"model": {_json_str(self.model)}, '
             f'"in_tok": {self.in_tok}, '
             f'"out_tok": {self.out_tok}, '
             f'"cost_usd": {micro_to_usd_str(self.cost_micro)}, '
-            f'"ts": {json.dumps(self.ts)}'
+            f'"ts": {self.ts}{warn}}}'
         )
-        if self.warn:
-            fields += ', "warn": true'
-        return "{" + fields + "}"
 
 
 class RunLedger:
@@ -149,14 +154,15 @@ class RunLedger:
             ts=self.clock.now(),
             warn=warn,
         )
-        self._append(row)
+        self._append([row])
         return row
 
-    def _append(self, row: LedgerRow) -> None:
-        self._rows.append(row)
-        self._cost_micro += row.cost_micro
+    def _append(self, rows: list[LedgerRow]) -> None:
+        """Add rows, writing them to the sink with one write and one flush."""
+        self._rows += rows
+        self._cost_micro += sum(row.cost_micro for row in rows)
         if self._sink is not None:
-            self._sink.write(row.to_line() + "\n")
+            self._sink.write("".join(row.to_line() + "\n" for row in rows))
             self._sink.flush()
 
     def fork(self) -> "RunLedger":
@@ -168,8 +174,12 @@ class RunLedger:
         """Append a fork's rows, renumbered, and join its clock into this
         ledger's clock, moving the rows' timestamps along with it."""
         ts_offset = self.clock.join(fork.clock)
-        for row in fork._rows:
-            self._append(replace(row, idx=len(self._rows), ts=row.ts + ts_offset))
+        if fork._rows:
+            base = len(self._rows)
+            self._append([
+                LedgerRow(base + i, row.purpose, row.model, row.in_tok, row.out_tok,
+                          row.cost_micro, row.ts + ts_offset, row.warn)
+                for i, row in enumerate(fork._rows)])
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:

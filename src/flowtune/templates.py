@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -29,16 +30,21 @@ TEMPLATE_NAMES = (
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
+@lru_cache(maxsize=64)
+def split_template(template: str) -> tuple[str, ...]:
+    """The template cut at its placeholders: literal text at even indices,
+    placeholder names at odd ones. Cached, so a template is cut once."""
+    return tuple(_PLACEHOLDER_RE.split(template))
+
+
 def render_template(template: str, values: dict[str, object]) -> str:
-    """Replace `{key}` for each provided key; leave all other braces alone."""
-
-    def sub(match: re.Match) -> str:
-        key = match.group(1)
-        if key in values:
-            return str(values[key])
-        return match.group(0)
-
-    return _PLACEHOLDER_RE.sub(sub, template)
+    """Replace `{key}` for each provided key; leave all other braces alone.
+    A value is inserted as is, never scanned for placeholders itself."""
+    parts = list(split_template(template))
+    for i in range(1, len(parts), 2):
+        key = parts[i]
+        parts[i] = str(values[key]) if key in values else "{" + key + "}"
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

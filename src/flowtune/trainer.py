@@ -26,6 +26,7 @@ from .gradients import (
     backward,
     grad_combined,
     grad_workflow,
+    render_workflow_sketch,
 )
 from .model import ExecutionTrace, TextualGradient, WorkflowState, with_updated_prompt
 from .optimizer import (
@@ -320,10 +321,12 @@ def _update_prompts(rt: Runtime, state: WorkflowState,
         if relevant:
             jobs.append((name, relevant))
 
+    sketch = render_workflow_sketch(state)
+
     def one(view: Runtime, job):
         try:
             return update_prompt(view, state, state.executors[job[0]], job[1],
-                                 num_samples=num_samples)
+                                 num_samples=num_samples, sketch=sketch)
         except TransportError as e:
             return e
 

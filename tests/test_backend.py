@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import socket
 import sys
 import threading
@@ -34,6 +35,7 @@ from flowtune.backend import (
     render_fenced,
     request_replay_key,
 )
+from flowtune.model import compact_json
 from flowtune.store import LogicalClock, Price, PriceTable, RunLedger
 
 from .helpers import BROKEN, CLOSE, DROP, HANGUP, SLOW, chat_stub, clear_proxy_env, fenced
@@ -223,6 +225,42 @@ def test_replay_key_ignores_max_output_tokens():
     assert request_replay_key(a) == request_replay_key(b)
     c = req("same", temperature=0.5)
     assert request_replay_key(a) != request_replay_key(c)
+
+
+def oracle_replay_key(request: ChatRequest) -> str:
+    """The replay key as one `compact_json` over the nested request list."""
+    payload = compact_json([request.model_id,
+                            [[m.role, m.content] for m in request.messages],
+                            request.temperature])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("content", [
+    "plain",
+    "",
+    'say "hi"',
+    "back\\slash \\n not a newline",
+    "line one\nline two\r\n\ttabbed",
+    "caf\u00e9 \u2014 \u6f22\u5b57 \U0001f600",
+    "control \x00 \x07 \x1f \x7f \u2028",
+    '{"json": ["inside", 1]}',
+])
+def test_replay_key_matches_the_compact_json_oracle(content):
+    for model_id in ("m", 'mo"del\\\u00e9'):
+        request = ChatRequest(model_id, (Message("system", content), Message("user", content),
+                                         Message("user", "repair")), 0.7, 10, Purpose.FORWARD)
+        assert request_replay_key(request) == oracle_replay_key(request)
+
+
+@pytest.mark.parametrize("temperature", [0, 0.0, 1, 1.0, 0.7, 1e-07, 2.5e16])
+def test_replay_key_keeps_the_temperature_type(temperature):
+    request = req("t", temperature=temperature)
+    assert request_replay_key(request) == oracle_replay_key(request)
+
+
+def test_integer_and_float_zero_temperature_give_different_keys():
+    integer, real = req("t", temperature=0), req("t", temperature=0.0)
+    assert request_replay_key(integer) != request_replay_key(real)
 
 
 def test_repeated_identical_requests_replay_in_recorded_order(tmp_path):

@@ -115,6 +115,22 @@ def test_backward_order_and_counts_layerwise():
         "## This Step (Step 3)", "## This Step (Step 2)", "## This Step (Step 1)"]
 
 
+def test_layerwise_backward_renders_the_sketch_once(monkeypatch):
+    import flowtune.gradients as gradients_module
+
+    state, sample, trace = traced(5)
+    renders = []
+    monkeypatch.setattr(gradients_module, "render_workflow_sketch",
+                        lambda s: renders.append(s) or render_workflow_sketch(s))
+    script = PurposeScript({Purpose.GRAD_LOSS: lambda r: fenced({"text_gradient": "g"}),
+                            Purpose.GRAD_CALL: lambda r: fenced({"text_gradient": "g"})})
+    rt = make_runtime(script)
+    backward(rt, state, trace, sample, exact_match(trace.final_output, sample.answer), EM_INFO)
+    assert renders == [state]
+    assert len(script.calls) == 5
+    assert all(render_workflow_sketch(state) in user_content(r) for r in script.calls)
+
+
 def test_backward_k1_only_calls_grad_loss():
     state, sample, trace = traced(1)
     script = PurposeScript({Purpose.GRAD_LOSS: lambda r: fenced({"text_gradient": "g"})})

@@ -90,6 +90,32 @@ def test_ledger_total_is_exact_sum_over_many_random_rows():
     assert ledger.total_cost_micro == expected_total
 
 
+@pytest.mark.parametrize("pin,pout,in_tok,out_tok,expected", [
+    ("0.5", "0", 1, 0, 0),
+    ("0.5", "0", 3, 0, 2),
+    ("0.5", "0", 5, 0, 2),
+    ("0.5", "0", 7, 0, 4),
+    ("0", "2.5", 0, 1, 2),
+    ("0.25", "0.25", 1, 1, 0),
+    ("0.25", "0.25", 3, 3, 2),
+    ("0.3", "0.2", 1, 1, 0),
+    ("0.7", "0.8", 1, 1, 2),
+    ("0.125", "0", 12, 0, 2),
+    ("0.125", "0", 20, 0, 2),
+    ("12.5", "0", 1, 0, 12),
+    ("13.5", "0", 1, 0, 14),
+    ("0.000001", "0", 500_000, 0, 0),
+    ("0.000001", "0", 1_500_000, 0, 2),
+    ("0.000001", "0.000001", 1_250_000, 1_250_000, 2),
+    ("0.5000001", "0", 1, 0, 1),
+    ("0.4999999", "0", 1, 0, 0),
+])
+def test_exact_half_way_costs_round_to_even(pin, pout, in_tok, out_tok, expected):
+    cost, warn = table(pin, pout).cost_micro("m", in_tok, out_tok)
+    assert not warn
+    assert cost == expected == reference_cost_micro(in_tok, out_tok, Fraction(pin), Fraction(pout))
+
+
 def test_rows_append_only_with_increasing_idx_and_ts():
     ledger = ledger_with(table("1", "1"))
     for i in range(10):
@@ -111,6 +137,60 @@ def test_ledger_sink_writes_rows_with_fixed_field_order(tmp_path):
                            '"in_tok": 1000, "out_tok": 2000, "cost_usd": 0.003600, "ts": 1}')
     parsed = json.loads(line)
     assert parsed["cost_usd"] == pytest.approx(0.0036)
+
+
+def reference_line(row) -> str:
+    """A ledger line built field by field with `json.dumps`."""
+    fields = [f'"idx": {json.dumps(row.idx)}', f'"purpose": {json.dumps(row.purpose)}',
+              f'"model": {json.dumps(row.model)}', f'"in_tok": {json.dumps(row.in_tok)}',
+              f'"out_tok": {json.dumps(row.out_tok)}',
+              f'"cost_usd": {micro_to_usd_str(row.cost_micro)}', f'"ts": {json.dumps(row.ts)}']
+    if row.warn:
+        fields.append('"warn": true')
+    return "{" + ", ".join(fields) + "}"
+
+
+AWKWARD_NAMES = ["Forward", "", 'say "hi"', "back\\slash", "caf\u00e9 \u6f22\u5b57 \U0001f600",
+                 "ctl \x00\x1f\x7f\n\t\u2028"]
+
+
+@pytest.mark.parametrize("name", AWKWARD_NAMES)
+def test_ledger_line_matches_a_json_dumps_reference(name):
+    ledger = ledger_with(PriceTable({name: Price(Decimal("0.40"), Decimal("1.60"))}))
+    for row in (ledger.record_call(name, name, 1000, 2000),
+                ledger.record_call("Forward", name, 7, 0),
+                ledger.record_call(name, "unpriced", 5, 5)):
+        assert row.to_line() == reference_line(row)
+        assert json.loads(row.to_line())["purpose"] == row.purpose
+    assert ledger.rows[2].warn
+
+
+def test_absorbed_forks_write_the_bytes_of_serial_calls(tmp_path):
+    prices = PriceTable({name: Price(Decimal("0.37"), Decimal("1.23")) for name in AWKWARD_NAMES})
+    calls = [(AWKWARD_NAMES[i % 6], AWKWARD_NAMES[(i * 5) % 6] if i % 4 else "unpriced",
+              i * 101, i * 37) for i in range(12)]
+    serial = RunLedger(prices, LogicalClock(), sink_path=tmp_path / "serial.jsonl")
+    for call in calls:
+        serial.record_call(*call)
+    serial.close()
+
+    forked = RunLedger(prices, LogicalClock(), sink_path=tmp_path / "forked.jsonl")
+    pending = list(calls)
+    for size in (3, 0, 1, 5):
+        fork = forked.fork()
+        for call in pending[:size]:
+            fork.record_call(*call)
+        forked.absorb(fork)
+        del pending[:size]
+        if pending:  # a call between fan-outs goes straight to the ledger
+            forked.record_call(*pending.pop(0))
+    assert not pending
+    forked.close()
+
+    assert (tmp_path / "forked.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    assert forked.rows == serial.rows
+    assert forked.total_cost_micro == serial.total_cost_micro
+    assert forked.clock.now() == serial.clock.now()
 
 
 # ---------------------------------------------------------------------------

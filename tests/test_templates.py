@@ -1,8 +1,11 @@
 """The shipped template files are goldens: every meta prompt must keep its
 section headers, and rendering must never disturb the JSON skeletons."""
 
+import re
+
 import pytest
 
+from flowtune import templates
 from flowtune.templates import TEMPLATE_NAMES, load_templates, render_template
 
 REQUIRED_USER_SECTIONS = {
@@ -86,3 +89,70 @@ def test_override_directory_wins_per_file(tmp_path):
     # untouched files still come from the package data
     assert "## Evaluation Result" in lib.get("grad_loss").user
     assert "CHAIN RULE" in lib.get("grad_backprop").system
+
+
+# ---------------------------------------------------------------------------
+# Rendering from split parts is byte-equal to one regex pass
+# ---------------------------------------------------------------------------
+
+def regex_render(template: str, values: dict[str, object]) -> str:
+    """The oracle: one regex substitution pass over the template."""
+
+    def sub(match: re.Match) -> str:
+        key = match.group(1)
+        return str(values[key]) if key in values else match.group(0)
+
+    return re.sub(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", sub, template)
+
+
+def placeholder_values(template: str) -> dict[str, object]:
+    """A value for every placeholder, some of which look like placeholders."""
+    names = sorted(set(re.findall(r"\{([A-Za-z_][A-Za-z0-9_]*)\}", template)))
+    return {name: (f"<{name}: {{question}} {{{name}}}>" if i % 2 else i)
+            for i, name in enumerate(names)}
+
+
+@pytest.mark.parametrize("name", TEMPLATE_NAMES)
+def test_every_shipped_template_renders_as_the_regex_pass(name):
+    pair = load_templates().get(name)
+    for values in (placeholder_values(pair.user), {}, {"question": "q"}):
+        assert render_template(pair.user, values) == regex_render(pair.user, values)
+        assert load_templates().render(name, values).user == regex_render(pair.user, values)
+
+
+@pytest.mark.parametrize("template", [
+    "no placeholders at all",
+    "",
+    "{question}",
+    "{question} starts",
+    "ends with {question}",
+    "{question}{question}{step_id}",
+    'json {"a": {"b": 1}} and {0} and { question } and {question',
+    "unknown {missing} next to {question} and {_private} and {x1}",
+    "{{question}} doubled braces",
+])
+def test_edge_templates_render_as_the_regex_pass(template):
+    values = {"question": "{step_id} {question}", "step_id": 7, "x1": ""}
+    assert render_template(template, values) == regex_render(template, values)
+
+
+def test_values_are_never_rescanned():
+    assert render_template("{a}-{b}", {"a": "{b}", "b": "{a}"}) == "{b}-{a}"
+
+
+def test_a_library_splits_each_template_once(monkeypatch):
+    splits = []
+    real = templates._PLACEHOLDER_RE
+
+    class Counting:
+        def split(self, text):
+            splits.append(text)
+            return real.split(text)
+
+    monkeypatch.setattr(templates, "_PLACEHOLDER_RE", Counting())
+    templates.split_template.cache_clear()
+    lib = load_templates()
+    for _ in range(20):
+        for name in TEMPLATE_NAMES:
+            lib.render(name, {"question": "q"})
+    assert sorted(splits) == sorted(lib.get(name).user for name in TEMPLATE_NAMES)

@@ -7,7 +7,7 @@ import pytest
 from flowtune.backend import Budget, Purpose, TransportError
 from flowtune.evaluation import Sample
 from flowtune.forward import parse_envelope
-from flowtune.model import WorkflowState
+from flowtune.model import TextualGradient, WorkflowState
 from flowtune.store import RunDirectory, load_checkpoint
 from flowtune.trainer import (
     EvalSummary,
@@ -149,6 +149,28 @@ def test_executor_serving_two_steps_gets_gradients_from_both():
     train(rt, config, samples(1), samples(1, "v"), state, "exact_match")
     assert len(seen_blocks) == 1
     assert "step 1" in seen_blocks[0] and "step 2" in seen_blocks[0]
+
+
+def test_one_steps_prompt_updates_render_the_sketch_once(monkeypatch):
+    import flowtune.gradients as gradients_module
+    import flowtune.optimizer as optimizer_module
+    import flowtune.trainer as trainer_module
+
+    state = chain_state(3)
+    renders = []
+    render = gradients_module.render_workflow_sketch
+    for module in (gradients_module, optimizer_module, trainer_module):
+        monkeypatch.setattr(module, "render_workflow_sketch",
+                            lambda s: renders.append(s) or render(s))
+    script = PurposeScript({Purpose.OPTIM_CALL: lambda r: fenced({"updated_prompt": "tuned"})})
+    rt = make_runtime(script)
+    per_sample = [{step: TextualGradient.for_step(step, f"g{step}", sample)
+                   for step in (1, 2, 3)} for sample in ("s0", "s1")]
+    updated = trainer_module._update_prompts(rt, state, per_sample, num_samples=2)
+    assert renders == [state]
+    assert script.count(Purpose.OPTIM_CALL) == 3
+    assert all(render(state) in user_content(r) for r in script.calls)
+    assert {exe.prompt for exe in updated.executors.values()} == {"tuned"}
 
 
 # ---------------------------------------------------------------------------
