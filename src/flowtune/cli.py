@@ -44,7 +44,7 @@ def main() -> None:
 
 
 def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
-    path = cfg.resolve(cfg.datasets[split]) if split in cfg.datasets else None
+    path = cfg.datasets.get(split)
     if path is None or not path.exists():
         raise ConfigError(f"{split} dataset missing: {path}")
     samples = load_dataset(path)
@@ -218,9 +218,9 @@ def cmd_replay(run_dir, out_dir) -> None:
         cfg = load_config(config_path)
     except ConfigError as e:
         _fail(USAGE_EXIT, str(e))
-    record_path = cfg.resolve(cfg.backend["record_path"])
+    record_path = cfg.backend["record_path"]
     if record_path is not None and record_path.exists():
-        cfg.backend = {"kind": "replay", "store_path": str(record_path), "record_path": None}
+        cfg.backend = {"kind": "replay", "store_path": record_path, "record_path": None}
     elif cfg.backend["kind"] == "http":
         _fail(USAGE_EXIT, "run was neither recorded nor deterministic; cannot replay")
     init_path = run_path / INIT_CHECKPOINT

@@ -1,13 +1,16 @@
 """Run configuration: one JSON document captures everything a run needs.
 
-Relative paths inside the file resolve against the file's own directory, so a
-config can travel with its datasets, corpus, and replay store.
+Relative paths inside the file resolve against the file's own directory when
+the file is loaded, so a config can travel with its datasets, corpus, and
+replay store.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+import math
+import sys
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from types import UnionType
@@ -88,9 +91,9 @@ BACKEND_KEYS = {
     "scripted-mock": ({"script": str}, ()),
     "http": ({"endpoint": str, "api_key_env": str, "timeout_s": float, "max_attempts": int},
              ("endpoint",)),
-    "replay": ({"store_path": str, "mode": str}, ("store_path",)),
+    "replay": ({"store_path": Path, "mode": str}, ("store_path",)),
 }
-TOOL_KEYS = {"enabled": list[str], "corpus_path": str | None, "top_k_default": int}
+TOOL_KEYS = {"enabled": list[str], "corpus_path": Path | None, "top_k_default": int}
 # A price is a JSON number or a decimal string such as "0.40", which PriceTable
 # reads exactly.
 PRICE_KEYS = {"input_per_1m": Decimal, "output_per_1m": Decimal}
@@ -110,16 +113,9 @@ class RunConfig:
     tools: dict
     datasets: dict
     metric: str = "exact_match"
-    templates_dir: str | None = None
+    templates_dir: Path | None = None
     loop_sentinel: str = LOOP_DONE_SENTINEL
     concurrency: int = DEFAULT_CONCURRENCY
-    base_dir: Path = field(default_factory=Path)
-
-    def resolve(self, path: str | None) -> Path | None:
-        if path is None:
-            return None
-        p = Path(path)
-        return p if p.is_absolute() else self.base_dir / p
 
     def override(self, **changes) -> None:
         """Apply command-line overrides of schedule fields; a None leaves a
@@ -128,22 +124,11 @@ class RunConfig:
                                       **{k: v for k, v in changes.items() if v is not None})
 
     def resolved_json_obj(self) -> dict:
-        """The config in its file layout, with every path made absolute, so
-        the copy a run directory keeps stays valid wherever it is read from."""
-        obj = json.loads(json.dumps({f.name: getattr(self, f.name) for f in fields(self)
-                                     if f.name != "base_dir"}, default=asdict))
+        """The config in its file layout. Its paths are the absolute ones the
+        run used, so the copy a run directory keeps stays valid wherever it
+        is read from."""
+        obj = json.loads(json.dumps(asdict(self), default=str))
         obj.update((key, obj["schedule"].pop(key)) for key in TRAIN_TOP_LEVEL)
-
-        def absolutize(mapping: dict, key: str) -> None:
-            if mapping.get(key):
-                mapping[key] = str(self.resolve(mapping[key]))
-
-        for key in ("store_path", "record_path"):
-            absolutize(obj["backend"], key)
-        absolutize(obj["tools"], "corpus_path")
-        for split in list(obj["datasets"]):
-            absolutize(obj["datasets"], split)
-        absolutize(obj, "templates_dir")
         return obj
 
 
@@ -164,31 +149,37 @@ def _has_type(value, hint) -> bool:
             return False
     if get_origin(hint) is list:
         return type(value) is list and all(type(v) is get_args(hint)[0] for v in value)
+    if hint is float:
+        return type(value) is float and math.isfinite(value)
     return type(value) is hint
 
 
-def _checked_value(key: str, value, hint):
+def _checked_value(key: str, value, hint, base: Path):
     """value if it has the type hint names, else a ConfigError naming key.
 
     Nothing is coerced, except that an int is taken where a float is
-    expected (and becomes one); a bool is never taken for a number, and null
-    only where the hint is optional. A Decimal hint takes a finite JSON
-    number or a string that holds one, as it is.
+    expected (and becomes one), and a string where a Path is (and becomes
+    absolute against base, the config file's directory). A float must be
+    finite, a bool is never taken for a number, and null only where the hint
+    is optional. A Decimal hint takes a finite JSON number or a string that
+    holds one, as it is.
     """
     options = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
-    if float in options and type(value) is int:
+    if float in options and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
+    if Path in options and type(value) is str:
+        return base / value
     if not any(_has_type(value, t) for t in options):
-        names = " or ".join("null" if t is type(None) else
+        names = " or ".join("null" if t is type(None) else "a path" if t is Path else
                             "a decimal number" if t is Decimal else t.__name__ for t in options)
         raise ConfigError(f"{key} must be {names}, got {json.dumps(value)}")
     return value
 
 
-def _checked(prefix: str, obj, hints: dict, required=()) -> dict:
+def _checked(prefix: str, obj, hints: dict, base: Path, required=()) -> dict:
     """A JSON object's entries, with each key checked against hints and each
-    value against its type. Keys left out stay out, so the type that takes
-    the entries supplies their defaults."""
+    value against its type, paths resolved against base. Keys left out stay
+    out, so the type that takes the entries supplies their defaults."""
     if type(obj) is not dict:
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
     unknown = [prefix + key for key in obj if key not in hints]
@@ -197,15 +188,16 @@ def _checked(prefix: str, obj, hints: dict, required=()) -> dict:
     missing = [prefix + key for key in required if key not in obj]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
-    return {key: _checked_value(prefix + key, value, hints[key]) for key, value in obj.items()}
+    return {key: _checked_value(prefix + key, value, hints[key], base)
+            for key, value in obj.items()}
 
 
-def _parse_backend(obj) -> dict:
+def _parse_backend(obj, base: Path) -> dict:
     if type(obj) is not dict or obj.get("kind") not in BACKEND_KEYS:
         raise ConfigError(f"backend.kind must be one of {tuple(BACKEND_KEYS)}")
     keys, required = BACKEND_KEYS[obj["kind"]]
     backend = {"record_path": None, **_checked(
-        "backend.", obj, {"kind": str, "record_path": str | None, **keys}, required)}
+        "backend.", obj, {"kind": str, "record_path": Path | None, **keys}, base, required)}
     kind = backend["kind"]
     if kind == "scripted-mock":
         backend = {"script": "echo", **backend}
@@ -232,22 +224,23 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
+    base = path.parent.resolve()
     train_hints = get_type_hints(TrainConfig)
-    top_level = {name: dict if is_dataclass(hint) else hint
-                 for name, hint in get_type_hints(RunConfig).items() if name != "base_dir"}
-    top = _checked("", obj, {**top_level, **{key: train_hints[key] for key in TRAIN_TOP_LEVEL}})
+    hints = {name: dict if is_dataclass(hint) else hint
+             for name, hint in get_type_hints(RunConfig).items()}
+    top = _checked("", obj, {**hints, **{key: train_hints[key] for key in TRAIN_TOP_LEVEL}}, base)
 
     def section(name: str, hints: dict) -> dict:
-        return _checked(f"{name}.", top.pop(name, {}), hints)
+        return _checked(f"{name}.", top.pop(name, {}), hints, base)
 
     schedule = section("schedule", {k: v for k, v in train_hints.items()
                                     if k not in TRAIN_TOP_LEVEL})
     schedule.update((key, top.pop(key)) for key in TRAIN_TOP_LEVEL if key in top)
     cfg = RunConfig(
-        backend=_parse_backend(top.pop("backend", {"kind": "scripted-mock"})),
+        backend=_parse_backend(top.pop("backend", {"kind": "scripted-mock"}), base),
         models=_checked_call(ModelSettings, prefix="models.",
                              **section("models", get_type_hints(ModelSettings))),
-        prices={model: _checked(f"prices.{model}.", row, PRICE_KEYS, tuple(PRICE_KEYS))
+        prices={model: _checked(f"prices.{model}.", row, PRICE_KEYS, base, tuple(PRICE_KEYS))
                 for model, row in top.pop("prices", {}).items()},
         schedule=_checked_call(TrainConfig, **schedule),
         budget=_checked_call(Budget, prefix="budget.",
@@ -255,8 +248,7 @@ def load_config(path: str | Path) -> RunConfig:
         tools={"enabled": [], "corpus_path": None, **section("tools", TOOL_KEYS)},
         # Split name to path. train and val are read; other splits are kept
         # in the run's config.json and otherwise ignored.
-        datasets=section("datasets", dict.fromkeys(top.get("datasets", {}), str | None)),
-        base_dir=path.parent.resolve(),
+        datasets=section("datasets", dict.fromkeys(top.get("datasets", {}), Path | None)),
         **top,
     )
     if cfg.metric not in METRICS:
@@ -269,7 +261,7 @@ def load_config(path: str | Path) -> RunConfig:
 def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
     registry = ToolRegistry()
     if cfg.tools["enabled"]:
-        corpus_path = cfg.resolve(cfg.tools["corpus_path"])
+        corpus_path = cfg.tools["corpus_path"]
         if corpus_path is None or not corpus_path.exists():
             raise ConfigError(f"tools.corpus_path missing or not found: {corpus_path}")
         index = CorpusIndex(load_corpus(corpus_path))
@@ -283,13 +275,15 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
 def _build_backend(cfg: RunConfig):
     args = dict(cfg.backend)
     kind = args.pop("kind")
-    record_path = cfg.resolve(args.pop("record_path"))
+    record_path = args.pop("record_path")
+    if record_path is not None and record_path.is_dir():
+        raise ConfigError(f"backend.record_path names a directory: {record_path}")
     if kind == "scripted-mock":
         backend = ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
     elif kind == "http":
         backend = _checked_call(HttpBackend, prefix="backend.", **args)
     else:
-        backend = ReplayBackend(cfg.resolve(args["store_path"]), REPLAY)
+        backend = ReplayBackend(args["store_path"], REPLAY)
     if record_path is not None:
         backend = ReplayBackend(record_path, RECORD, inner=backend)
     return backend
@@ -303,7 +297,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
         Runtime,
         client=ChatClient(_build_backend(cfg), ledger, budget=cfg.budget),
         settings=cfg.models,
-        templates=load_templates(cfg.resolve(cfg.templates_dir)),
+        templates=load_templates(cfg.templates_dir),
         tools=build_tool_registry(cfg),
         loop_sentinel=cfg.loop_sentinel,
         concurrency=cfg.concurrency,

@@ -71,30 +71,18 @@ def run_workflow(rt: Runtime, state: WorkflowState, sample) -> ExecutionTrace:
     i = 0
     while i < len(sketch):
         step = sketch[i]
-        if isinstance(step.control, Loop):
-            stop = False
-            for _ in range(step.control.max_iterations):
-                record = _execute_step(rt, state, step, sample.question, previous_output)
-                records.append(record)
-                previous_output = record.output_text
-                if "backend_error" in record.flags:
-                    error = f"backend failure at step {step.step_id}"
-                    stop = True
-                    break
-                if _contains_sentinel(record.output_text, rt.loop_sentinel):
-                    break
-            if stop:
+        loop = isinstance(step.control, Loop)
+        for _ in range(step.control.max_iterations if loop else 1):
+            record = _execute_step(rt, state, step, sample.question, previous_output)
+            records.append(record)
+            previous_output = record.output_text
+            if "backend_error" in record.flags:
+                error = f"backend failure at step {step.step_id}"
                 break
-            i += 1
-            continue
-
-        record = _execute_step(rt, state, step, sample.question, previous_output)
-        records.append(record)
-        previous_output = record.output_text
-        if "backend_error" in record.flags:
-            error = f"backend failure at step {step.step_id}"
+            if loop and _contains_sentinel(record.output_text, rt.loop_sentinel):
+                break
+        if error is not None:
             break
-
         if isinstance(step.control, Route):
             target, flag = _route_decision(record.output_text, step)
             if flag is not None:

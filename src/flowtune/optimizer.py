@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backend import JsonRetryExhausted, Purpose
 from .evaluation import Sample
@@ -439,10 +439,7 @@ def update_all_prompts(rt: Runtime, state: WorkflowState,
             continue
         current = executors[name]
         if prompt != current.prompt:
-            executors[name] = ExecutorSpec(
-                name=current.name, kind=current.kind, description=current.description,
-                prompt=prompt, tool_names=current.tool_names, version=current.version + 1,
-            )
+            executors[name] = replace(current, prompt=prompt, version=current.version + 1)
             changed = True
     if not changed:
         return state, False

@@ -316,6 +316,34 @@ def test_replay_recorded_run_is_identical(tmp_path, runner):
     assert json.loads(result.output.strip())["identical"] is True
 
 
+def test_replay_of_a_run_with_templates_beside_its_config_is_identical(tmp_path, runner):
+    """templates_dir "" names the config's own directory; the run directory
+    keeps it as that directory, so replay renders the same overrides."""
+    override = "Override beside the config.\n" + load_templates().get("grad_loss").user
+    (tmp_path / "grad_loss.user.txt").write_text(override, encoding="utf-8")
+    config_path = write_toy_config(tmp_path, extra={"templates_dir": ""}, record=True)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    assert "Override beside the config." in (tmp_path / "store.jsonl").read_text()
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
+
+
+@pytest.mark.parametrize("record_path", ["", "."])
+def test_a_record_path_naming_a_directory_exits_2_before_writing(tmp_path, runner,
+                                                                 record_path):
+    config_path = write_toy_config(tmp_path, extra={"backend": {
+        "kind": "scripted-mock", "script": "canned", "record_path": record_path}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "backend.record_path" in result.output
+    assert not run_dir.exists()
+
+
 def test_replay_detects_tampered_outputs(tmp_path, runner):
     config_path = write_toy_config(tmp_path, record=True)
     run_dir = tmp_path / "run"

@@ -31,8 +31,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.metric == "exact_match"
     assert cfg.schedule.mode == "full"
     assert (cfg.models, cfg.schedule, cfg.budget) == (ModelSettings(), TrainConfig(), Budget())
-    assert cfg.base_dir == tmp_path.resolve()
-    assert cfg.resolve("train.jsonl") == tmp_path.resolve() / "train.jsonl"
+    assert cfg.datasets["train"] == tmp_path.resolve() / "train.jsonl"
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -134,15 +133,26 @@ def test_deterministic_backends_get_logical_clock(tmp_path):
 
 
 def test_resolved_json_obj_absolutizes_paths(tmp_path):
+    base = tmp_path.resolve()
     cfg = load_config(write(tmp_path, {
         **BASE,
         "backend": {"kind": "scripted-mock", "script": "canned", "record_path": "store.jsonl"},
         "tools": {"enabled": [], "corpus_path": "corpus.jsonl"},
+        "datasets": {**BASE["datasets"], "test": "splits/test.jsonl", "dev": str(base / "d")},
+        "templates_dir": "",
     }))
     obj = cfg.resolved_json_obj()
-    assert obj["datasets"]["train"] == str(tmp_path.resolve() / "train.jsonl")
-    assert obj["backend"]["record_path"] == str(tmp_path.resolve() / "store.jsonl")
-    assert obj["tools"]["corpus_path"] == str(tmp_path.resolve() / "corpus.jsonl")
+    assert obj["datasets"] == {"train": str(base / "train.jsonl"), "val": str(base / "val.jsonl"),
+                               "test": str(base / "splits" / "test.jsonl"),
+                               "dev": str(base / "d")}
+    assert obj["backend"]["record_path"] == str(base / "store.jsonl")
+    assert obj["tools"]["corpus_path"] == str(base / "corpus.jsonl")
+    assert obj["templates_dir"] == str(base)
+    replay = load_config(write(tmp_path, {
+        **BASE, "backend": {"kind": "replay", "store_path": "store.jsonl"},
+        "templates_dir": "prompts"}, name="replay.json")).resolved_json_obj()
+    assert replay["backend"]["store_path"] == str(base / "store.jsonl")
+    assert replay["templates_dir"] == str(base / "prompts")
 
 
 def make_request(purpose, user="hello", system=None):
@@ -180,6 +190,11 @@ MISTYPED_OR_MISSPELLED = [
     ({"seed": "0"}, "seed"),
     ({"models": {"max_output_tokens": 0}}, "models.max_output_tokens"),
     ({"tools": {"top_k_default": 0}}, "tools.top_k_default"),
+    # JSON's NaN and Infinity parse as floats; no setting takes them.
+    ({"budget": {"max_cost_usd": float("inf")}}, "budget.max_cost_usd"),
+    ({"models": {"meta_temperature": float("nan")}}, "models.meta_temperature"),
+    ({"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9", "timeout_s": float("inf")}},
+     "backend.timeout_s"),
 ]
 
 
@@ -221,6 +236,9 @@ def test_bad_values_fail_at_load_naming_the_key(tmp_path, patch, key):
     ({"metric": "vibes"}, "vibes"),
     ({"schedule": {"epochs": 0}}, "epochs"),
     ({"models": {"meta_temperature": -0.1}}, "models.meta_temperature"),
+    ({"budget": {"max_cost_usd": float("nan")}}, "budget.max_cost_usd"),
+    ({"budget": {"max_cost_usd": 10**400}}, "budget.max_cost_usd"),
+    ({"models": {"executor_temperature": float("inf")}}, "models.executor_temperature"),
 ])
 def test_every_section_rejects_unknown_and_mistyped_keys(tmp_path, patch, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
