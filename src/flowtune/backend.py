@@ -19,6 +19,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import selectors
@@ -102,8 +103,19 @@ def request_replay_key(request: ChatRequest) -> str:
     messages = ",".join(f"[{encode_basestring(m.role)},{encode_basestring(m.content)}]"
                         for m in request.messages)
     payload = (f"[{encode_basestring(request.model_id)},[{messages}],"
-               f"{json.dumps(request.temperature)}]")
+               f"{_json_number(request.temperature)}]")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _json_number(value) -> str:
+    """`json.dumps(value)`. It writes a finite float and an int as their
+    reprs, so those skip its encoder; anything else, such as NaN or a bool,
+    goes through it."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 class Backend(Protocol):

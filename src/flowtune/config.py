@@ -292,6 +292,8 @@ def _build_backend(cfg: RunConfig):
 def build_runtime(cfg: RunConfig) -> Runtime:
     """The run's runtime. Its ledger has no sink yet, so a ConfigError here
     comes before any file is written."""
+    if cfg.templates_dir is not None and not cfg.templates_dir.is_dir():
+        raise ConfigError(f"templates_dir is not a directory: {cfg.templates_dir}")
     ledger = RunLedger(prices=PriceTable.from_config(cfg.prices))
     return _checked_call(
         Runtime,

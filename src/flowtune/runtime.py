@@ -4,8 +4,9 @@ backend's calls can wait."""
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import CancelledError, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
 from .backend import DEFERRED, ChatClient, ChatRequest, Message, Purpose, at_commit, can_wait
@@ -149,8 +150,15 @@ class _Task:
     def __init__(self, rt: Runtime):
         self.rt = rt
         self.ledger = rt.client.ledger.fork()
-        self.view = replace(rt, client=rt.client.with_ledger(self.ledger),
-                            clock=self.ledger.clock, concurrency=1)
+        # A copy, as `ChatClient.with_ledger` makes one: the runtime's fields
+        # were checked when it was built. The view runs its fan-outs inline,
+        # so it holds no pool of its own and never shares this one.
+        view = copy.copy(rt)
+        view.client = rt.client.with_ledger(self.ledger)
+        view.clock = self.ledger.clock
+        view.concurrency = 1
+        view._pool = None
+        self.view = view
         self.deferred: list[Callable[[], None]] = []
 
     def run(self, fn, item):

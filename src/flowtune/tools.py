@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -59,11 +59,17 @@ class SearchHit:
     score: float
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table for `bytes.translate`: a-z and 0-9 stay, every other byte
+# becomes a space.
+_SEPARATORS = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                    for b in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The runs of [a-z0-9] in `text.lower()`, in order. Each non-ASCII
+    character encodes as `?`, a separator like any other byte outside the
+    runs, so a token is exactly a maximal ASCII run."""
+    return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
@@ -104,27 +110,30 @@ class CorpusIndex:
         for prev, doc in zip(self.docs, self.docs[1:]):
             if prev.doc_id == doc.doc_id:
                 raise DuplicateDocId(f"doc_id {doc.doc_id!r} repeated")
-        # term -> (indices of the documents that contain it, ascending; the
-        # term's count in each). Documents are added in order, so a term seen
-        # before in this document is the last entry of its posting.
-        postings: dict[str, tuple[list[int], list[int]]] = {}
+        # term -> the index of each document, once per occurrence of the term
+        # in it. Documents are added in order, so the indices ascend.
+        occurrences: defaultdict[str, list[int]] = defaultdict(list)
         lengths: list[int] = []
         for i, doc in enumerate(self.docs):
             tokens = tokenize(doc.title + " " + doc.body)
             lengths.append(max(1, len(tokens)))
             for term in tokens:
-                posting = postings.get(term)
-                if posting is None:
-                    postings[term] = ([i], [1])
-                elif posting[0][-1] == i:
-                    posting[1][-1] += 1
-                else:
-                    posting[0].append(i)
-                    posting[1].append(1)
+                occurrences[term].append(i)
+        # term -> (indices of the documents that contain it, ascending; the
+        # term's count in each). Each list is dropped as its posting is made,
+        # so the two are never both held in full. Tuples of ints leave the
+        # garbage collector's tracking, so a full collection skips them.
         n = len(self.docs)
+        postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        idf: dict[str, float] = {}
+        while occurrences:
+            term, ids = occurrences.popitem()
+            counts = Counter(ids)
+            postings[term] = (tuple(counts), tuple(counts.values()))
+            idf[term] = math.log(1.0 + n / len(counts))
         self._postings = postings
         self._lengths = lengths
-        self._idf = {term: math.log(1.0 + n / len(ids)) for term, (ids, _) in postings.items()}
+        self._idf = idf
 
     def search_topk(self, query: str, k: int) -> list[SearchHit]:
         if k < 1:

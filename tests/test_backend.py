@@ -252,7 +252,8 @@ def test_replay_key_matches_the_compact_json_oracle(content):
         assert request_replay_key(request) == oracle_replay_key(request)
 
 
-@pytest.mark.parametrize("temperature", [0, 0.0, 1, 1.0, 0.7, 1e-07, 2.5e16])
+@pytest.mark.parametrize("temperature", [0, 0.0, -0.0, 1, 1.0, 0.7, 1e-07, 1e16, 2.5e16,
+                                         True, float("nan"), float("inf")])
 def test_replay_key_keeps_the_temperature_type(temperature):
     request = req("t", temperature=temperature)
     assert request_replay_key(request) == oracle_replay_key(request)

@@ -344,6 +344,18 @@ def test_a_record_path_naming_a_directory_exits_2_before_writing(tmp_path, runne
     assert not run_dir.exists()
 
 
+def test_a_missing_templates_dir_exits_2_before_writing(tmp_path, runner):
+    """A misspelled override directory would otherwise run on the built-in
+    templates without a sign."""
+    config_path = write_toy_config(tmp_path, extra={"templates_dir": "no-such-dir"})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "templates_dir" in result.output
+    assert not run_dir.exists()
+
+
 def test_replay_detects_tampered_outputs(tmp_path, runner):
     config_path = write_toy_config(tmp_path, record=True)
     run_dir = tmp_path / "run"

@@ -322,6 +322,22 @@ def test_nested_fan_out_runs_inline_in_the_item():
     assert [r.ts for r in rt.client.ledger.rows] == list(range(1, 13))
 
 
+def test_a_view_holds_no_pool_and_fans_out_inline():
+    rt = runtime(lambda r: user_content(r))
+    try:
+        rt.fan_out(lambda view, n: ask(view, str(n)), range(2))
+        assert rt._pool is not None  # the views below are made after it started
+
+        def item(view, n):
+            here = threading.current_thread()
+            threads = view.fan_out(lambda inner, j: threading.current_thread(), range(3))
+            return view._pool, view.concurrency, threads == [here] * 3
+
+        assert rt.fan_out(item, range(4)) == [(None, 1, True)] * 4
+    finally:
+        rt.close()
+
+
 def test_concurrency_must_be_positive():
     with pytest.raises(ValueError):
         runtime(lambda r: "", concurrency=0)

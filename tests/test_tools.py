@@ -1,3 +1,4 @@
+import gc
 import heapq
 import math
 import random
@@ -191,8 +192,10 @@ def scan_tokenize(text):
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
-# Upper case, punctuation and digits, few enough letters that tokens repeat.
-ALPHABET = "abAB01 .,-'"
+# Upper case, punctuation and digits, few enough letters that tokens repeat;
+# and characters outside ASCII, some of which lower-case to ASCII letters
+# (the dotted capital I, the Kelvin sign).
+ALPHABET = "abAB01 .,-'\u00e9\u0130\u212a\u00df\uff21"
 QUERY_TERMS = ["a", "B", "ab", "AB", "0", "a1", "b-a", "1,0", "zebra", "x9"]
 
 
@@ -210,6 +213,33 @@ def test_index_matches_the_scan_bit_for_bit(texts, order, query, k):
     order.shuffle(shuffled)
     q = " ".join(query)
     assert CorpusIndex(shuffled).search_topk(q, k) == ScanIndex(docs).search_topk(q, k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_tokenize_matches_the_regular_expression(text):
+    assert tokenize(text) == scan_tokenize(text)
+
+
+def test_tokenize_splits_at_every_character_outside_the_ascii_runs():
+    assert tokenize("Caf\u00e9-OLE x\u00df9 \u0130b \u212aelvin \ud800z") == [
+        "caf", "ole", "x", "9", "i", "b", "kelvin", "z"]
+
+
+def test_posting_containers_leave_the_garbage_collectors_tracking():
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(50)]
+    docs = [CorpusDoc(f"d{i:03d}", rng.choice(words),
+                      " ".join(rng.choice(words) for _ in range(rng.randrange(1, 20))))
+            for i in range(200)]
+    index = CorpusIndex(docs)
+    postings = list(index._postings.values())
+    # A collection untracks the tuples of ints; the next, the pairs that
+    # hold them.
+    gc.collect()
+    assert not any(gc.is_tracked(part) for pair in postings for part in pair)
+    gc.collect()
+    assert not any(gc.is_tracked(pair) for pair in postings)
 
 
 def test_threads_sharing_one_index_get_the_serial_results():
