@@ -278,6 +278,8 @@ def _build_backend(cfg: RunConfig):
     record_path = args.pop("record_path")
     if record_path is not None and record_path.is_dir():
         raise ConfigError(f"backend.record_path names a directory: {record_path}")
+    if record_path is not None and record_path.is_file() and record_path.stat().st_size:
+        raise ConfigError(f"backend.record_path already holds recorded calls: {record_path}")
     if kind == "scripted-mock":
         backend = ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
     elif kind == "http":

@@ -311,22 +311,6 @@ class ExecutionTrace:
         return tuple(sorted({r.step_id for r in self.records}))
 
 
-def validate_trace(trace: ExecutionTrace) -> list[Violation]:
-    out: list[Violation] = []
-    if not trace.records:
-        out.append(Violation("EmptyTrace", trace.sample_id))
-        return out
-    if trace.final_output != trace.records[-1].output_text:
-        out.append(Violation("FinalOutputMismatch", trace.sample_id))
-    for prev, cur in zip(trace.records, trace.records[1:]):
-        if prev.output_text not in cur.input_text:
-            out.append(Violation(
-                "BrokenChain",
-                f"step {cur.step_id} input does not contain step {prev.step_id} output",
-            ))
-    return out
-
-
 WORKFLOW_SCOPE = 0  # sentinel step_id meaning "the whole workflow"
 
 

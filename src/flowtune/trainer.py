@@ -220,32 +220,44 @@ def _run_batch(rt: Runtime, config: TrainConfig, state: WorkflowState, batch: li
                metric_name: str, metrics_info: str,
                sketch_revision: int) -> tuple[WorkflowState, int]:
     questions = [s.question for s in batch]
+    forwards = _BatchForwards(rt, batch, metric_name)
     for _ in range(config.bilevel_rounds_per_batch):
         if config.mode in (MODE_FULL, MODE_NO_LAYERWISE):
             for _ in range(config.outer_steps_per_round):
                 state, sketch_revision = _structure_step(
-                    rt, state, batch, metric_name, metrics_info, sketch_revision,
-                    grad_workflow,
+                    rt, state, forwards, metrics_info, sketch_revision, grad_workflow,
                     lambda s, grads: update_workflow(rt, s, grads, questions, metrics_info))
         if config.mode == MODE_NO_BILEVEL:
             state, sketch_revision = _structure_step(
-                rt, state, batch, metric_name, metrics_info, sketch_revision,
-                grad_combined,
+                rt, state, forwards, metrics_info, sketch_revision, grad_combined,
                 lambda s, grads: update_workflow_combined(rt, s, grads, metrics_info))
             continue
-        state = _inner_phase(rt, config, state, batch, metric_name, metrics_info)
+        state = _inner_phase(rt, config, state, forwards, metrics_info)
     return state, sketch_revision
 
 
-def _forward_batch(rt: Runtime, state: WorkflowState, batch: list[Sample],
-                   metric_name: str):
-    metric = get_metric(metric_name)
+class _BatchForwards:
+    """The batch's latest forwards, (sample, trace, metric result) each, and
+    the state they ran on. Called with that same state object again, it
+    forwards only the samples whose trace ended in a backend failure."""
 
-    def forward(view: Runtime, sample: Sample):
-        trace = run_workflow(view, state, sample)
-        return sample, trace, metric(trace.final_output, sample.answer)
+    def __init__(self, rt: Runtime, batch: list[Sample], metric_name: str):
+        self.rt, self.batch, self.metric = rt, batch, get_metric(metric_name)
+        self.state, self.forwards = None, []
 
-    return rt.fan_out(forward, batch)
+    def __call__(self, state: WorkflowState) -> list:
+        if state is not self.state:
+            self.state, self.forwards = state, [None] * len(self.batch)
+        stale = [i for i, f in enumerate(self.forwards) if f is None or f[1].error is not None]
+
+        def forward(view: Runtime, i: int):
+            sample = self.batch[i]
+            trace = run_workflow(view, state, sample)
+            return sample, trace, self.metric(trace.final_output, sample.answer)
+
+        for i, fresh in zip(stale, self.rt.fan_out(forward, stale)):
+            self.forwards[i] = fresh
+        return self.forwards
 
 
 def _per_sample(rt: Runtime, forwards, gradient: Callable, dropped: str) -> list:
@@ -262,13 +274,13 @@ def _per_sample(rt: Runtime, forwards, gradient: Callable, dropped: str) -> list
     return [g for g in rt.fan_out(one, forwards) if g is not None]
 
 
-def _structure_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metric_name: str,
+def _structure_step(rt: Runtime, state: WorkflowState, forwards: _BatchForwards,
                     metrics_info: str, sketch_revision: int, gradient: Callable,
                     update: Callable) -> tuple[WorkflowState, int]:
     """One sketch edit: `gradient` per forwarded sample, then `update(state,
     gradients)` on the batch. `sketch_revision` moves only when it applies."""
     gradients = _per_sample(
-        rt, _forward_batch(rt, state, batch, metric_name),
+        rt, forwards(state),
         lambda view, sample, trace, result:
             gradient(view, state, trace, sample, result, metrics_info),
         "structure gradient skipped")
@@ -281,11 +293,11 @@ def _structure_step(rt: Runtime, state: WorkflowState, batch: list[Sample], metr
 
 
 def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
-                 batch: list[Sample], metric_name: str, metrics_info: str) -> WorkflowState:
+                 forwards: _BatchForwards, metrics_info: str) -> WorkflowState:
     mode = ALL_AT_ONCE if config.mode == MODE_NO_LAYERWISE else "layerwise"
     for _ in range(config.inner_steps_per_round):
         per_sample_gradients: list[dict[int, TextualGradient]] = _per_sample(
-            rt, _forward_batch(rt, state, batch, metric_name),
+            rt, forwards(state),
             lambda view, sample, trace, result:
                 backward(view, state, trace, sample, result, metrics_info, mode=mode),
             "sample dropped from inner step")
@@ -293,9 +305,9 @@ def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
             continue
         if config.mode == MODE_NO_LAYERWISE:
             flat = [g for grads in per_sample_gradients for _, g in sorted(grads.items())]
-            state, _ = update_all_prompts(rt, state, flat, num_samples=len(batch))
+            state, _ = update_all_prompts(rt, state, flat, num_samples=len(forwards.batch))
             continue
-        state = _update_prompts(rt, state, per_sample_gradients, num_samples=len(batch))
+        state = _update_prompts(rt, state, per_sample_gradients, num_samples=len(forwards.batch))
     return state
 
 

@@ -23,9 +23,11 @@ from flowtune.backend import (
 from flowtune.model import (
     LLM_EXECUTOR,
     TOOL_EXECUTOR,
+    ExecutionTrace,
     ExecutorSpec,
     Sequential,
     StepSpec,
+    Violation,
     WorkflowState,
 )
 from flowtune.runtime import ModelSettings, Runtime
@@ -115,6 +117,24 @@ def chain_state(k: int, revision: int = 0) -> WorkflowState:
         sketch.append(StepSpec(step_id=i, description=f"step {i}", executor_name=exe.name,
                                control=Sequential()))
     return WorkflowState(sketch=tuple(sketch), executors=executors, revision=revision)
+
+
+def validate_trace(trace: ExecutionTrace) -> list[Violation]:
+    """A trace's chain property: each step's input holds the previous
+    step's output, and the final output is the last step's."""
+    out: list[Violation] = []
+    if not trace.records:
+        out.append(Violation("EmptyTrace", trace.sample_id))
+        return out
+    if trace.final_output != trace.records[-1].output_text:
+        out.append(Violation("FinalOutputMismatch", trace.sample_id))
+    for prev, cur in zip(trace.records, trace.records[1:]):
+        if prev.output_text not in cur.input_text:
+            out.append(Violation(
+                "BrokenChain",
+                f"step {cur.step_id} input does not contain step {prev.step_id} output",
+            ))
+    return out
 
 
 class FakeSample:

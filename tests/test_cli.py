@@ -400,6 +400,37 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     assert json.loads(result.output.strip())["identical"] is True
 
 
+def test_a_second_run_recording_into_one_store_exits_2_before_writing(tmp_path, runner,
+                                                                    monkeypatch):
+    """Replay serves a store's rows in file order, so a second run recorded
+    into the store of a first would be served the first run's replies."""
+    clear_proxy_env(monkeypatch)
+    run_number = [1]
+
+    def reply(body):
+        text = canned_reply(body)
+        return text + " x" * run_number[0] if body["model"] == "exe-toy" else text
+
+    with chat_stub(reply=reply) as stub:
+        config_path = write_toy_config(tmp_path, extra={"backend": {
+            "kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"}})
+        first = runner.invoke(main, ["train", "--config", str(config_path),
+                                     "--run-dir", str(tmp_path / "run1")])
+        assert first.exit_code == 0, first.output
+        stored = (tmp_path / "store.jsonl").read_bytes()
+        asked = len(stub.requests)
+        run_number[0] = 2
+        second = runner.invoke(main, ["train", "--config", str(config_path),
+                                      "--run-dir", str(tmp_path / "run2")])
+    assert second.exit_code == 2, second.output
+    assert "backend.record_path" in second.output
+    assert not (tmp_path / "run2").exists()
+    assert len(stub.requests) == asked
+    assert (tmp_path / "store.jsonl").read_bytes() == stored
+    result = runner.invoke(main, ["replay", "--run-dir", str(tmp_path / "run1")])
+    assert json.loads(result.output.strip())["identical"] is True
+
+
 def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
     config_path = write_toy_config(tmp_path, record=True)
     run_dir = tmp_path / "run"

@@ -21,13 +21,22 @@ from flowtune.backend import (
     Purpose,
     ReplayBackend,
     ScriptedMockBackend,
+    TransportError,
 )
 from flowtune.evaluation import Sample, exact_match, metric_info
 from flowtune.forward import parse_envelope
 from flowtune.optimizer import bootstrap_workflow
 from flowtune.runtime import Runtime
 from flowtune.store import LogicalClock, Price, PriceTable, RunDirectory, RunLedger
-from flowtune.trainer import MODES, TrainConfig, evaluate, make_batches, train
+from flowtune.trainer import (
+    MODE_FULL,
+    MODE_NO_BILEVEL,
+    MODES,
+    TrainConfig,
+    evaluate,
+    make_batches,
+    train,
+)
 
 from .helpers import chain_state, fenced, user_content
 
@@ -122,6 +131,36 @@ def test_artifacts_byte_identical_at_every_concurrency(tmp_path, mode):
     assert any(name.startswith("traces/") for name in runs[1])
     assert len(runs[1]["ledger.jsonl"].splitlines()) > 50
     assert runs[2] == runs[1]
+    assert runs[8] == runs[1]
+
+
+def drop_first_forwards(script, dropped: set[str]):
+    """`script`, with the first arrival of a share of forward requests
+    dropped, so some traces end in a backend failure and are forwarded again.
+    A request's fate depends on the request alone, whatever the order."""
+    lock = threading.Lock()
+
+    def wrapped(request: ChatRequest) -> str:
+        digest = digest_of(request)
+        if request.purpose == Purpose.FORWARD and int(digest[5], 16) < 3:
+            with lock:
+                first = digest not in dropped
+                dropped.add(digest)
+            if first:
+                raise TransportError("connection dropped")
+        return script(request)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_NO_BILEVEL])
+def test_reused_and_reforwarded_samples_keep_artifacts_identical(tmp_path, mode):
+    runs, dropped = {}, {}
+    for c in (1, 8):
+        dropped[c] = set()
+        backend = ScriptedMockBackend(drop_first_forwards(pure_script, dropped[c]))
+        runs[c] = files(run(backend, tmp_path / f"c{c}", c, mode))
+    assert dropped[1] and dropped[8] == dropped[1]
     assert runs[8] == runs[1]
 
 

@@ -12,10 +12,9 @@ from flowtune.model import (
     Route,
     StepSpec,
     WorkflowState,
-    validate_trace,
 )
 
-from .helpers import FakeSample, chain_state, make_runtime, system_content
+from .helpers import FakeSample, chain_state, make_runtime, system_content, validate_trace
 
 
 def envelope_script(step_fn_by_prompt):

@@ -18,11 +18,10 @@ from flowtune.model import (
     deserialize_state,
     serialize_state,
     validate_state,
-    validate_trace,
     with_updated_prompt,
 )
 
-from .helpers import chain_state, llm_executor, tool_executor
+from .helpers import chain_state, llm_executor, tool_executor, validate_trace
 
 
 def codes(violations):

@@ -82,8 +82,9 @@ def test_default_schedule_exactly_two_workflow_updates_and_ten_inner_rounds():
     assert counts["GradWorkflow"] == 10  # 2 outer passes x 5 samples
     assert counts["GradLoss"] == 50  # 10 inner steps x 5 samples
     assert counts.get("GradCall", 0) == 0  # K = 1
-    # outer + inner + validation forwards
-    assert counts["Forward"] == 10 + 50 + 2
+    # outer + inner + validation forwards. Both edits are declined, so each
+    # round's first inner step reuses the outer step's 5 forwards.
+    assert counts["Forward"] == 10 + 40 + 2
     assert len(result.records) == 1
 
 
@@ -123,6 +124,74 @@ def test_no_layerwise_mode_one_gradient_call_per_sample():
     assert counts["OptimCall"] == 10  # one combined prompt update per inner step
     assert counts["OptimWorkflow"] == 2  # outer loop still runs
     assert counts["GradWorkflow"] == 10
+
+
+# ---------------------------------------------------------------------------
+# Forward reuse within a batch
+# ---------------------------------------------------------------------------
+
+def same_shape_plan(k):
+    """An edit that applies but keeps the chain's K steps and executors."""
+    return {"reasoning": "", "should_update": True, "updated_execution_plan": [
+        {"step_id": i, "description": f"stage {i}", "tools": [], "executor_type": "reuse",
+         "executor_name": f"step_{i}", "generation_guideline": ""} for i in range(1, k + 1)]}
+
+
+@pytest.mark.parametrize("applied, outer_steps", [(False, 1), (True, 1), (False, 2)],
+                         ids=["declined", "applied", "declined-twice"])
+def test_only_an_applied_edit_forwards_the_batch_again(applied, outer_steps):
+    b, k = 5, 3
+    handlers = standard_handlers()
+    if applied:
+        handlers[Purpose.OPTIM_WORKFLOW] = lambda r: fenced(same_shape_plan(k))
+    rt = make_runtime(PurposeScript(handlers))
+    config = TrainConfig(batch_size=b, bilevel_rounds_per_batch=1, inner_steps_per_round=2,
+                         outer_steps_per_round=outer_steps, seed=None)
+    result = train(rt, config, samples(b), samples(1, "v"), chain_state(k), "exact_match")
+    assert (result.records[0].revision > 0) == applied
+    counts = rt.client.ledger.count_by_purpose()
+    assert counts["GradWorkflow"] == outer_steps * b
+    # Each outer step and both inner steps forward B samples through K
+    # steps, validation one sample. Each declined edit leaves the step after
+    # it the forwards of the step before.
+    saved = 0 if applied else outer_steps * b * k
+    assert counts["Forward"] == (outer_steps + 2) * b * k + k - saved
+
+
+def test_inner_steps_reuse_the_forwards_of_an_unchanged_state():
+    # No prompt update applies, so every inner step sees the outer step's state.
+    handlers = {**standard_handlers(), Purpose.OPTIM_CALL: lambda r: "never json"}
+    rt = make_runtime(PurposeScript(handlers))
+    config = TrainConfig(bilevel_rounds_per_batch=1, seed=None)
+    result = train(rt, config, samples(5), samples(1, "v"), chain_state(2), "exact_match")
+    assert result.halted_early is False
+    counts = rt.client.ledger.count_by_purpose()
+    assert counts["GradLoss"] == 25
+    assert counts["Forward"] == 5 * 2 + 2
+
+
+def test_a_sample_whose_forward_failed_is_forwarded_again_alone():
+    failed = []
+
+    def flaky(request):
+        question, previous = parse_envelope(user_content(request))
+        if question == "question 1" and previous and not failed:
+            failed.append(request)
+            raise TransportError("connection dropped")
+        return forward_handler(request)
+
+    script = PurposeScript({**standard_handlers(), Purpose.FORWARD: flaky})
+    rt = make_runtime(script)
+    config = TrainConfig(bilevel_rounds_per_batch=1, inner_steps_per_round=1, seed=None)
+    train(rt, config, samples(5), samples(1, "v"), chain_state(2), "exact_match")
+    assert len(failed) == 1  # at step 2 of the outer step's forward
+    purposes = [r.purpose for r in script.calls]
+    inner = script.calls[purposes.index(Purpose.OPTIM_WORKFLOW) + 1:
+                         purposes.index(Purpose.GRAD_LOSS)]
+    assert [(r.purpose, parse_envelope(user_content(r))) for r in inner] == [
+        (Purpose.FORWARD, ("question 1", "")),
+        (Purpose.FORWARD, ("question 1", "question 1|f")),
+    ]
 
 
 def test_executor_serving_two_steps_gets_gradients_from_both():
