@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, truediv
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -73,6 +73,9 @@ def tokenize(text: str) -> list[str]:
 
 
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
+    """The documents of a JSON-lines corpus, one object with `doc_id`, `title`
+    and `body` per line. A line that is not such an object, such as one cut
+    short, is a ValueError naming the corpus and the line."""
     docs: list[CorpusDoc] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
@@ -80,12 +83,17 @@ def load_corpus(path: str | Path) -> list[CorpusDoc]:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            doc_id = str(row["doc_id"])
-            if doc_id in seen:
-                raise DuplicateDocId(f"doc_id {doc_id!r} repeated at line {line_no}")
-            seen.add(doc_id)
-            docs.append(CorpusDoc(doc_id=doc_id, title=str(row["title"]), body=str(row["body"])))
+            try:
+                row = json.loads(line)
+                doc = CorpusDoc(doc_id=str(row["doc_id"]), title=str(row["title"]),
+                                body=str(row["body"]))
+            except (ValueError, LookupError, TypeError) as e:
+                raise ValueError(f"corpus {path}, line {line_no}: unreadable row: {e!r}") from e
+            if doc.doc_id in seen:
+                raise DuplicateDocId(f"corpus {path}, line {line_no}: "
+                                     f"doc_id {doc.doc_id!r} repeated")
+            seen.add(doc.doc_id)
+            docs.append(doc)
     return docs
 
 
@@ -106,15 +114,21 @@ class CorpusIndex:
     """
 
     def __init__(self, docs: list[CorpusDoc]):
-        self.docs = sorted(docs, key=attrgetter("doc_id"))
-        for prev, doc in zip(self.docs, self.docs[1:]):
-            if prev.doc_id == doc.doc_id:
-                raise DuplicateDocId(f"doc_id {doc.doc_id!r} repeated")
+        ordered = sorted(docs, key=attrgetter("doc_id"))
+        # Each field in its own tuple of strings, in doc-id order. Such tuples
+        # leave the garbage collector's tracking, and the index keeps no
+        # `CorpusDoc`, so a full collection walks no object per document.
+        self._ids = tuple(map(attrgetter("doc_id"), ordered))
+        self._titles = tuple(map(attrgetter("title"), ordered))
+        self._bodies = tuple(map(attrgetter("body"), ordered))
+        for prev, doc_id in zip(self._ids, self._ids[1:]):
+            if prev == doc_id:
+                raise DuplicateDocId(f"doc_id {doc_id!r} repeated")
         # term -> the index of each document, once per occurrence of the term
         # in it. Documents are added in order, so the indices ascend.
         occurrences: defaultdict[str, list[int]] = defaultdict(list)
         lengths: list[int] = []
-        for i, doc in enumerate(self.docs):
+        for i, doc in enumerate(ordered):
             tokens = tokenize(doc.title + " " + doc.body)
             lengths.append(max(1, len(tokens)))
             for term in tokens:
@@ -123,7 +137,7 @@ class CorpusIndex:
         # term's count in each). Each list is dropped as its posting is made,
         # so the two are never both held in full. Tuples of ints leave the
         # garbage collector's tracking, so a full collection skips them.
-        n = len(self.docs)
+        n = len(self._ids)
         postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         idf: dict[str, float] = {}
         while occurrences:
@@ -138,7 +152,7 @@ class CorpusIndex:
     def search_topk(self, query: str, k: int) -> list[SearchHit]:
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not self.docs:
+        if not self._ids:
             raise EmptyCorpusError("corpus is empty")
         partial: dict[int, float] = {}
         get = partial.get
@@ -149,16 +163,18 @@ class CorpusIndex:
             idf = self._idf[term]
             for i, tf in zip(*posting):
                 partial[i] = get(i, 0.0) + tf * idf
-        lengths = self._lengths
-        # Every matched score is > 0 (tf >= 1, idf >= log 2). A k-sized heap
-        # on (-score, index) instead of sorting every matching document.
-        top = heapq.nsmallest(k, [(-(s / lengths[i]), i) for i, s in partial.items()])
-        hits = []
-        for neg, i in top:
-            d = self.docs[i]
-            hits.append(SearchHit(doc_id=d.doc_id, title=d.title,
-                                  snippet=d.body[:SNIPPET_CHARS], score=-neg))
-        return hits
+        if not partial:
+            return []
+        # Every matched score is > 0 (tf >= 1, idf >= log 2). The scores are
+        # one list of floats, which the garbage collector does not track; the
+        # k-th best of them is the cut, and only the documents at or above it
+        # become (-score, index) pairs, so ties at the cut still rank by index.
+        scores = list(map(truediv, partial.values(), map(self._lengths.__getitem__, partial)))
+        cut = heapq.nlargest(k, scores)[-1]
+        top = sorted([(-s, i) for i, s in zip(partial, scores) if s >= cut])[:k]
+        return [SearchHit(doc_id=self._ids[i], title=self._titles[i],
+                          snippet=self._bodies[i][:SNIPPET_CHARS], score=-neg)
+                for neg, i in top]
 
 
 def render_hits(hits: list[SearchHit]) -> str:

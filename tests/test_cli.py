@@ -572,6 +572,25 @@ def test_config_error_leaves_no_run_that_blocks_a_retry(tmp_path, runner):
     assert retry.exit_code == 0, retry.output
 
 
+@pytest.mark.parametrize("row", [
+    '{"doc_id": "b", "body": "C"}',
+    "[1, 2]",
+    '{"doc_id": "b", "title": "U", "bo',
+])
+def test_an_unreadable_corpus_row_exits_2_naming_the_line_before_writing(tmp_path, runner, row):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"doc_id": "a", "title": "T", "body": "B"}\n' + row + "\n")
+    config_path = write_toy_config(tmp_path, extra={
+        "tools": {"enabled": ["search_topk"], "corpus_path": "corpus.jsonl"}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert error.startswith(f"corpus {corpus}, line 2: unreadable row: ")
+    assert not run_dir.exists()
+
+
 def test_bad_init_checkpoint_exits_2_before_writing(tmp_path, runner):
     config_path = write_toy_config(tmp_path)
     checkpoint = tmp_path / "init.json"

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -226,13 +227,30 @@ def test_tokenize_splits_at_every_character_outside_the_ascii_runs():
         "caf", "ole", "x", "9", "i", "b", "kelvin", "z"]
 
 
+def tracked_below(roots):
+    """The objects the garbage collector tracks among `roots` and everything
+    reachable from them."""
+    seen, stack, tracked = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            tracked.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
+
+
 def test_posting_containers_leave_the_garbage_collectors_tracking():
     rng = random.Random(3)
     words = [f"w{i}" for i in range(50)]
     docs = [CorpusDoc(f"d{i:03d}", rng.choice(words),
                       " ".join(rng.choice(words) for _ in range(rng.randrange(1, 20))))
             for i in range(200)]
+    first = weakref.ref(docs[0])
     index = CorpusIndex(docs)
+    del docs
     postings = list(index._postings.values())
     # A collection untracks the tuples of ints; the next, the pairs that
     # hold them.
@@ -240,6 +258,39 @@ def test_posting_containers_leave_the_garbage_collectors_tracking():
     assert not any(gc.is_tracked(part) for pair in postings for part in pair)
     gc.collect()
     assert not any(gc.is_tracked(pair) for pair in postings)
+    # The index holds no caller's document, and of all it holds only its
+    # attributes themselves may stay tracked, none of the 200 documents'
+    # fields, lengths or postings.
+    assert first() is None
+    attributes = list(vars(index).values())
+    assert all(any(obj is a for a in attributes) for obj in tracked_below(attributes))
+
+
+def test_a_search_allocates_nothing_per_matching_document():
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(300)]
+    docs = [CorpusDoc(f"d{i:05d}", "common " + rng.choice(words),
+                      " ".join(rng.choice(words) for _ in range(rng.randrange(1, 8))))
+            for i in range(6000)]
+    index = CorpusIndex(docs)
+    assert len(index._postings["common"][0]) >= 5000
+    queries = [f"common {rng.choice(words)} {rng.choice(words)}" for _ in range(20)]
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        hits = [index.search_topk(q, 5) for q in queries]
+    finally:
+        gc.callbacks.remove(count)
+    assert all(len(h) == 5 for h in hits)
+    # One tracked object per matching document, over 5,000 a search, would
+    # set off several collections per search at the default thresholds.
+    assert len(collections) < len(queries)
 
 
 def test_threads_sharing_one_index_get_the_serial_results():
@@ -298,6 +349,21 @@ def test_load_corpus_round_trip_and_duplicate(tmp_path):
     )
     with pytest.raises(DuplicateDocId):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("row, cause", [
+    ('{"doc_id": "b", "body": "C"}', "KeyError"),
+    ("[1, 2]", "TypeError"),
+    ('{"doc_id": "b", "title": "U", "bo', "JSONDecodeError"),
+])
+def test_load_corpus_names_the_corpus_and_the_line_of_an_unreadable_row(tmp_path, row, cause):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"doc_id": "a", "title": "T", "body": "B"}\n' + row + "\n")
+    with pytest.raises(ValueError) as info:
+        load_corpus(path)
+    message = str(info.value)
+    assert f"corpus {path}, line 2: " in message
+    assert cause in message
 
 
 def test_registry_rejects_duplicates():
