@@ -148,15 +148,15 @@ class ReplayMissError(RuntimeError):
 # Ordered fan-out commits
 # ---------------------------------------------------------------------------
 
-# The actions deferred to the commit of the fan-out item being run (see
-# `Runtime.fan_out`); None outside a fan-out.
+# The actions deferred to the commit of the pool item being run (see
+# `Runtime.fan_out`); None elsewhere, in an inline item too.
 DEFERRED: ContextVar[list[Callable[[], None]] | None] = ContextVar("flowtune_deferred",
                                                                  default=None)
 
 
 def at_commit(action: Callable[[], None]) -> None:
-    """Run `action` when the calling fan-out item is committed, in item
-    order, on the thread that runs the fan-out; at once outside a fan-out."""
+    """Run `action` when the calling pool item is committed, in item order,
+    on the thread that runs the fan-out; at once anywhere else."""
     deferred = DEFERRED.get()
     if deferred is None:
         action()
@@ -390,8 +390,8 @@ class ReplayBackend:
     failed with a `TransportError` is recorded as a row with its "error" in
     place of a response, and replays as the same failure, in its place.
 
-    Both modes keep the serial order. Record mode writes a fan-out item's
-    rows when the item is committed, and waits as its inner backend does.
+    Both modes keep the serial order. Record mode writes a pool item's rows
+    when the item is committed, and waits as its inner backend does.
     Replay mode answers from memory and never waits, so fan-outs over it run
     inline, in serial order, and its cursors need no lock.
     """
@@ -416,15 +416,16 @@ class ReplayBackend:
 
     def _load(self) -> None:
         """Read the store; a row that does not parse, such as a last line cut
-        short, is a ValueError naming the store and the line."""
+        short or not UTF-8, is a ValueError naming the store and the line."""
         if not self.store_path.exists():
             return
-        with open(self.store_path, encoding="utf-8") as f:
+        # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
+        with open(self.store_path, "rb", buffering=1 << 16) as f:
             for number, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
                     row = json.loads(line)
                     resp = row.get("response")
                     entry = row["error"] if resp is None else ChatResponse(
@@ -506,31 +507,34 @@ class MalformedJson(JsonExtractError):
     pass
 
 
-_FENCE_RE = re.compile(r"```json\s*\n(.*?)```", re.DOTALL)
+_FENCE_OPEN_RE = re.compile(r"```json\s*\n\s*")
+_FENCE_CLOSE_RE = re.compile(r"\s*```")
+_decode_at = json.JSONDecoder().raw_decode
 
 
 def extract_json(content: str):
     """Parse the first well-formed fenced ```json block, else the whole body.
 
-    NoJsonFound means nothing in the content even looked like JSON;
-    MalformedJson means something did but would not parse. Both keep the raw
-    content for upstream retry logic.
+    One JSON value must fill a block, so backticks inside a JSON string do
+    not end it. NoJsonFound means nothing in the content even looked like
+    JSON; MalformedJson means something did but would not parse. Both keep
+    the raw content for upstream retry logic.
     """
     saw_candidate = False
-    for match in _FENCE_RE.finditer(content):
+    for match in _FENCE_OPEN_RE.finditer(content):
         saw_candidate = True
         try:
-            return json.loads(match.group(1).strip())
+            value, end = _decode_at(content, match.end())
         except json.JSONDecodeError:
             continue
+        if _FENCE_CLOSE_RE.match(content, end):
+            return value
     body = content.strip()
-    if body.startswith("{") or body.startswith("["):
-        saw_candidate = True
     try:
         return json.loads(body)
     except json.JSONDecodeError:
         pass
-    if saw_candidate:
+    if saw_candidate or body.startswith(("{", "[")):
         raise MalformedJson("JSON content present but unparseable", content)
     raise NoJsonFound("no JSON content found", content)
 

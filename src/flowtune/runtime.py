@@ -68,29 +68,21 @@ class Runtime:
     def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T]) -> list[R]:
         """`fn(view, item)` for every item; the results in item order.
 
-        Up to `concurrency` items run at once on a persistent thread pool.
-        They run inline, one after the other, through the same steps, at
-        concurrency 1, for a single item, or when the client's backend cannot
-        wait (see `can_wait`): a replay answers from memory, and the pool
-        would only add its own cost. Each item runs against a view of this
-        runtime that buffers its ledger rows and clock readings, and the
-        buffers are committed here in item order, so ledger indices and
-        timestamps come out exactly as in a serial run. When items raise,
-        every item that ran is committed first, then the exception of the
-        earliest failing item is raised; items not yet started are dropped.
-        `fn` makes its calls through `view`, never through this runtime; a
-        fan-out on the view runs inline.
+        At concurrency 1, for a single item, or when the client's backend
+        cannot wait (see `can_wait`), the items run inline, one after the
+        other, with this runtime itself as the view. Otherwise up to
+        `concurrency` items run at once on a persistent thread pool, each
+        against a view of this runtime that buffers its ledger rows and clock
+        readings, and the buffers are committed here in item order, so ledger
+        indices and timestamps come out exactly as inline. When pool items
+        raise, every item that ran is committed first, then the exception of
+        the earliest failing item is raised; items not yet started are
+        dropped. A fan-out on a pool item's view runs inline.
         """
         items = list(items)
-        tasks = [_Task(self) for _ in items]
         if self.concurrency == 1 or len(items) <= 1 or not can_wait(self.client.backend):
-            results = []
-            for task, item in zip(tasks, items):
-                try:
-                    results.append(task.run(fn, item))
-                finally:
-                    task.commit()
-            return results
+            return [fn(self, item) for item in items]
+        tasks = [_Task(self) for _ in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="flowtune")
         futures = [self._pool.submit(task.run, fn, item) for task, item in zip(tasks, items)]
@@ -145,7 +137,7 @@ class Runtime:
 
 
 class _Task:
-    """One item of `Runtime.fan_out`: its runtime view and their buffers."""
+    """One pool item of `Runtime.fan_out`: its runtime view and their buffers."""
 
     def __init__(self, rt: Runtime):
         self.rt = rt

@@ -9,9 +9,10 @@ byte-identical files. Wall time is not a run artifact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from . import model
 class LogicalClock:
     """Deterministic monotone counter; one tick per reading.
 
-    Only the thread that runs a fan-out reads the root clock; each task
-    counts its own ticks on a fork, joined in task order.
+    Only the thread that runs a fan-out reads the root clock, for its inline
+    items too; each pool item counts its ticks on a fork, joined in item order.
     """
 
     def __init__(self, start: int = 0):
@@ -33,7 +34,7 @@ class LogicalClock:
         return self._tick
 
     def fork(self) -> "LogicalClock":
-        """The clock one task of an ordered fan-out reads (see Runtime.fan_out).
+        """The clock one pool item of an ordered fan-out reads (see Runtime.fan_out).
 
         A fork counts from 0: its readings mean nothing until `join`
         supplies the offset."""
@@ -57,29 +58,34 @@ class PriceTable:
     """USD prices per million tokens, keyed by model id."""
 
     def __init__(self, prices: dict[str, Price] | None = None):
-        self._prices = dict(prices or {})
+        # Each model's two prices, exactly: numerators over one denominator.
+        self._ratios: dict[str, tuple[int, int, int]] = {}
+        for model_id, price in (prices or {}).items():
+            n_in, d_in = price.input_per_1m.as_integer_ratio()
+            n_out, d_out = price.output_per_1m.as_integer_ratio()
+            den = math.lcm(d_in, d_out)
+            self._ratios[model_id] = (n_in * (den // d_in), n_out * (den // d_out), den)
 
     @staticmethod
     def from_config(obj: dict) -> "PriceTable":
-        prices = {}
-        for model_id, row in (obj or {}).items():
-            prices[model_id] = Price(
-                input_per_1m=Decimal(str(row["input_per_1m"])),
-                output_per_1m=Decimal(str(row["output_per_1m"])),
-            )
-        return PriceTable(prices)
+        return PriceTable({model_id: Price(Decimal(str(row["input_per_1m"])),
+                                           Decimal(str(row["output_per_1m"])))
+                           for model_id, row in (obj or {}).items()})
 
     def cost_micro(self, model_id: str, input_tokens: int, output_tokens: int) -> tuple[int, bool]:
         """(cost in micro-dollars rounded half-even, unknown-model flag).
 
         A price per million tokens times a token count is already in
         micro-dollars."""
-        price = self._prices.get(model_id)
-        if price is None:
+        ratio = self._ratios.get(model_id)
+        if ratio is None:
             return 0, True
-        micro = (Decimal(input_tokens) * price.input_per_1m
-                 + Decimal(output_tokens) * price.output_per_1m)
-        return int(micro.to_integral_value(ROUND_HALF_EVEN)), False
+        num_in, num_out, den = ratio
+        micro, rest = divmod(input_tokens * num_in + output_tokens * num_out, den)
+        rest *= 2
+        if rest > den or (rest == den and micro & 1):
+            micro += 1
+        return micro, False
 
 
 def micro_to_usd_str(micro: int) -> str:
@@ -122,9 +128,9 @@ class RunLedger:
     """Append-only record of every model call. Rows are never mutated.
 
     Call count and cost total are kept as running sums, so reading them is
-    O(1). Only one thread appends: tasks of a fan-out record into a `fork()`
-    each, which the thread running the fan-out `absorb`s in task order, so
-    `idx` and `ts` come out as in a serial run.
+    O(1). Only one thread appends: pool items of a fan-out record into a
+    `fork()` each, which the thread running the fan-out `absorb`s in item
+    order, so `idx` and `ts` come out as in a serial run.
     """
 
     def __init__(self, prices: PriceTable | None = None, clock: LogicalClock | None = None,
@@ -138,48 +144,38 @@ class RunLedger:
             self.open_sink(sink_path)
 
     def open_sink(self, path: str | Path) -> None:
-        """Append every row from here on to the file at path."""
-        self._sink = open(path, "a", encoding="utf-8")
+        """Append every row from here on to the file at path, unbuffered, so
+        that each write is one system call and reaches the file at once."""
+        self._sink = open(path, "ab", buffering=0)
 
     def record_call(self, purpose: str, model_id: str, input_tokens: int,
                     output_tokens: int) -> LedgerRow:
         cost, warn = self.prices.cost_micro(model_id, input_tokens, output_tokens)
-        row = LedgerRow(
-            idx=len(self._rows),
-            purpose=purpose,
-            model=model_id,
-            in_tok=input_tokens,
-            out_tok=output_tokens,
-            cost_micro=cost,
-            ts=self.clock.now(),
-            warn=warn,
-        )
-        self._append([row])
+        row = LedgerRow(len(self._rows), purpose, model_id, input_tokens, output_tokens,
+                        cost, self.clock.now(), warn)
+        self._rows.append(row)
+        self._cost_micro += cost
+        if self._sink is not None:
+            self._sink.write(f"{row.to_line()}\n".encode())
         return row
 
-    def _append(self, rows: list[LedgerRow]) -> None:
-        """Add rows, writing them to the sink with one write and one flush."""
-        self._rows += rows
-        self._cost_micro += sum(row.cost_micro for row in rows)
-        if self._sink is not None:
-            self._sink.write("".join(row.to_line() + "\n" for row in rows))
-            self._sink.flush()
-
     def fork(self) -> "RunLedger":
-        """An in-memory ledger for one task, stamping rows from a fork of
-        this ledger's clock, which the task's runtime view reads too."""
+        """An in-memory ledger for one pool item, stamping rows from a fork of
+        this ledger's clock, which the item's runtime view reads too."""
         return RunLedger(self.prices, self.clock.fork())
 
     def absorb(self, fork: "RunLedger") -> None:
         """Append a fork's rows, renumbered, and join its clock into this
-        ledger's clock, moving the rows' timestamps along with it."""
+        ledger's clock, moving the rows' timestamps along with it. The rows
+        reach the sink in one write."""
         ts_offset = self.clock.join(fork.clock)
-        if fork._rows:
-            base = len(self._rows)
-            self._append([
-                LedgerRow(base + i, row.purpose, row.model, row.in_tok, row.out_tok,
-                          row.cost_micro, row.ts + ts_offset, row.warn)
-                for i, row in enumerate(fork._rows)])
+        base = len(self._rows)
+        self._rows += [LedgerRow(base + i, row.purpose, row.model, row.in_tok, row.out_tok,
+                                 row.cost_micro, row.ts + ts_offset, row.warn)
+                       for i, row in enumerate(fork._rows)]
+        self._cost_micro += fork._cost_micro
+        if fork._rows and self._sink is not None:
+            self._sink.write("".join(row.to_line() + "\n" for row in self._rows[base:]).encode())
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:

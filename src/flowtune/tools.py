@@ -74,16 +74,17 @@ def tokenize(text: str) -> list[str]:
 
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
     """The documents of a JSON-lines corpus, one object with `doc_id`, `title`
-    and `body` per line. A line that is not such an object, such as one cut
-    short, is a ValueError naming the corpus and the line."""
+    and `body` per line. A line that is not such an object in UTF-8, such as
+    one cut short, is a ValueError naming the corpus and the line."""
     docs: list[CorpusDoc] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
+    with open(path, "rb", buffering=1 << 16) as f:
         for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = json.loads(line)
                 doc = CorpusDoc(doc_id=str(row["doc_id"]), title=str(row["title"]),
                                 body=str(row["body"]))

@@ -7,7 +7,7 @@ import urllib.request
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtune.backend import (
@@ -114,8 +114,20 @@ json_values = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(value=json_values)
+@example(value="```")
 def test_extract_inverts_render_fenced(value):
     assert extract_json(render_fenced(value)) == value
+
+
+def test_a_fence_inside_a_json_string_does_not_end_the_block():
+    reply = {"prompt": "Reply with a ```json block, like\n```json\n{}\n```"}
+    assert extract_json("Plan:\n" + render_fenced(reply) + "\nDone.") == reply
+    # The value must fill the block: text before the closing fence spoils it.
+    with pytest.raises(MalformedJson):
+        extract_json('```json\n{"a": 1} and more\n```')
+    # An unclosed block is not well-formed, however its value parses.
+    with pytest.raises(MalformedJson):
+        extract_json('```json\n{"a": 1}')
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +164,13 @@ def test_json_retry_appends_repair_instruction_then_succeeds():
     # Second and third attempts carry the repair instruction.
     assert "not valid JSON" in seen[1].messages[-1].content
     assert len(seen[2].messages) == len(seen[0].messages) + 2
+
+
+def test_a_reply_showing_a_fenced_example_costs_one_call():
+    reply = {"prompt": "Reply with a ```json block"}
+    client, ledger = make_client(lambda r: render_fenced(reply))
+    assert client.complete_json(req("go")) == reply
+    assert ledger.call_count == 1
 
 
 def test_json_retry_exhausts_after_four_attempts():

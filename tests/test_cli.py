@@ -445,6 +445,21 @@ def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
     assert f"{store}, line {rows}: unreadable row" in error
 
 
+def test_replay_of_a_store_row_that_is_not_utf8_exits_2_naming_the_row(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, record=True)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    store = tmp_path / "store.jsonl"
+    lines = store.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"content"', b'"cont\xffent"', 1)
+    store.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert f"{store}, line 3: unreadable row: UnicodeDecodeError" in error
+
+
 def test_replay_requires_complete_run_dir(tmp_path, runner):
     (tmp_path / "run").mkdir()
     result = runner.invoke(main, ["replay", "--run-dir", str(tmp_path / "run")])
@@ -588,6 +603,21 @@ def test_an_unreadable_corpus_row_exits_2_naming_the_line_before_writing(tmp_pat
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
     assert error.startswith(f"corpus {corpus}, line 2: unreadable row: ")
+    assert not run_dir.exists()
+
+
+def test_a_corpus_row_that_is_not_utf8_exits_2_naming_the_line_before_writing(tmp_path, runner):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b'{"doc_id": "a", "title": "T", "body": "B"}\n'
+                       b'{"doc_id": "b", "title": "\xff", "body": "C"}\n')
+    config_path = write_toy_config(tmp_path, extra={
+        "tools": {"enabled": ["search_topk"], "corpus_path": "corpus.jsonl"}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert error.startswith(f"corpus {corpus}, line 2: unreadable row: UnicodeDecodeError")
     assert not run_dir.exists()
 
 

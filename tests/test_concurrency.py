@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from flowtune import runtime as runtime_module
 from flowtune.backend import (
     RECORD,
     REPLAY,
@@ -171,6 +172,22 @@ def test_recording_replays_at_another_concurrency(tmp_path, recorded_at, replaye
                    tmp_path / "record", recorded_at)
     replayed = run(ReplayBackend(store, REPLAY), tmp_path / "replay", replayed_at)
     assert files(replayed) == files(recorded)
+
+
+def test_inline_fan_outs_run_in_place_with_the_artifacts_of_the_pool(tmp_path, monkeypatch):
+    pooled = files(run(ScriptedMockBackend(pure_script), tmp_path / "c8", 8))
+
+    def no_task(rt):
+        raise AssertionError("an inline fan-out item made a task")
+
+    monkeypatch.setattr(runtime_module, "_Task", no_task)
+    store = tmp_path / "store.jsonl"
+    recorded = run(ReplayBackend(store, RECORD, inner=ScriptedMockBackend(pure_script)),
+                   tmp_path / "record", 1)
+    replayed = run(ReplayBackend(store, REPLAY), tmp_path / "replay", 8)
+    for name in ("ledger.jsonl", "records.jsonl", "best.json"):
+        assert (recorded / name).read_bytes() == pooled[name]
+        assert (replayed / name).read_bytes() == pooled[name]
 
 
 def test_record_store_rows_follow_serial_order(tmp_path):
@@ -349,6 +366,34 @@ def test_concurrency_one_runs_inline_and_stops_at_the_failure():
         rt.fan_out(item, range(4))
     assert seen == [threading.current_thread()] * 2
     assert rt.client.ledger.call_count == 2
+
+
+def test_an_inline_item_runs_on_the_runtime_itself():
+    rt = runtime(lambda r: "ok", concurrency=1)
+    assert rt.fan_out(lambda view, n: view is rt, range(3)) == [True] * 3
+    # A single item runs inline at any concurrency.
+    assert runtime(lambda r: "ok").fan_out(lambda view, n: view.concurrency, [0]) == [8]
+
+
+def test_an_inline_item_that_raises_leaves_its_calls_in_the_ledger(tmp_path):
+    rt = runtime(lambda r: "ok", concurrency=1)
+    ledger = rt.client.ledger
+    ledger.open_sink(tmp_path / "ledger.jsonl")
+
+    def item(view, n):
+        for j in range(3):
+            ask(view, " ".join(["w"] * (10 * n + j)))  # in_tok tells the calls apart
+        if n == 1:
+            raise ValueError("stop")
+
+    with pytest.raises(ValueError):
+        rt.fan_out(item, range(3))
+    ledger.close()
+    rows = ledger.rows
+    assert [r.in_tok for r in rows] == [1, 2, 3, 11, 12, 13]  # "system" counts one
+    assert [(r.idx, r.ts) for r in rows] == [(i, i + 1) for i in range(6)]
+    sink = (tmp_path / "ledger.jsonl").read_text().splitlines()
+    assert sink == [r.to_line() for r in rows]
 
 
 def test_nested_fan_out_runs_inline_in_the_item():

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtune.model import SchemaVersionMismatch, serialize_state
 from flowtune.store import (
@@ -114,6 +116,50 @@ def test_exact_half_way_costs_round_to_even(pin, pout, in_tok, out_tok, expected
     cost, warn = table(pin, pout).cost_micro("m", in_tok, out_tok)
     assert not warn
     assert cost == expected == reference_cost_micro(in_tok, out_tok, Fraction(pin), Fraction(pout))
+
+
+token_counts = st.integers(0, 10**9)
+# Up to 17 digits, of which up to 12 are decimals.
+decimal_prices = st.builds(lambda digits, places: Decimal(digits).scaleb(-places),
+                           st.integers(0, 10**16), st.integers(0, 12))
+
+
+def decimal_cost_micro(in_tok: int, out_tok: int, pin: Decimal, pout: Decimal) -> int:
+    with localcontext() as ctx:
+        ctx.prec = 100  # exact for these operands
+        micro = Decimal(in_tok) * pin + Decimal(out_tok) * pout
+        return int(micro.to_integral_value(ROUND_HALF_EVEN))
+
+
+@st.composite
+def half_way_calls(draw):
+    """A call whose cost is an exact half micro-dollar: the output price
+    (for one output token) tops the input cost up to a whole number and a
+    half, odd or even."""
+    in_tok, pin = draw(token_counts), draw(decimal_prices)
+    in_cost = in_tok * pin
+    whole = draw(st.integers(0, 10**6))
+    top_up = in_cost.to_integral_value(ROUND_CEILING) - in_cost
+    return in_tok, 1, pin, whole + Decimal("0.5") + top_up
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=st.tuples(token_counts, token_counts, decimal_prices, decimal_prices))
+def test_integer_cost_equals_decimal_half_even_rounding(call):
+    in_tok, out_tok, pin, pout = call
+    cost, warn = PriceTable({"m": Price(pin, pout)}).cost_micro("m", in_tok, out_tok)
+    assert not warn
+    assert cost == decimal_cost_micro(in_tok, out_tok, pin, pout)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=half_way_calls())
+def test_integer_cost_rounds_exact_ties_to_even(call):
+    in_tok, out_tok, pin, pout = call
+    assert (Fraction(in_tok) * Fraction(pin) + Fraction(out_tok) * Fraction(pout)).denominator == 2
+    cost, _ = PriceTable({"m": Price(pin, pout)}).cost_micro("m", in_tok, out_tok)
+    assert cost % 2 == 0
+    assert cost == decimal_cost_micro(in_tok, out_tok, pin, pout)
 
 
 def test_rows_append_only_with_increasing_idx_and_ts():
