@@ -211,17 +211,20 @@ RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 
 
 class HttpBackend:
-    """An OpenAI-compatible chat-completions endpoint, over the standard
-    library's `http.client`.
+    """An OpenAI-compatible chat-completions endpoint.
 
     Each thread that calls `complete` keeps one kept-alive connection,
     opened on its first call, so the workers of a fan-out each reuse their
-    own. The endpoint, the headers and the proxy are worked out once, in the
-    constructor, which does no I/O. TLS certificates are checked against the
-    system CA store. The proxy comes from the environment (`https_proxy`,
-    `http_proxy`, `no_proxy` and their upper-case forms) and is spoken to in
-    plain HTTP: an https endpoint is tunnelled through it with CONNECT, and
-    an http request goes to it with the absolute URI.
+    own. The standard library's `http.client` opens it: TCP_NODELAY, a
+    proxy's CONNECT tunnel, and TLS with certificates checked against the
+    system CA store. The backend then writes each POST in one call and reads
+    the response itself (`_read_response`). The endpoint, the proxy and the
+    request's header block are worked out once, in the constructor, which
+    does no I/O and refuses what `http.client` would refuse to send. The
+    proxy comes from the environment (`https_proxy`, `http_proxy`,
+    `no_proxy` and their upper-case forms) and is spoken to in plain HTTP:
+    an https endpoint is tunnelled through it with CONNECT, and an http
+    request goes to it with the absolute URI.
 
     A failure to send or receive closes the connection, and the next attempt
     opens a new one. So does a server closing an idle connection, which is
@@ -242,15 +245,25 @@ class HttpBackend:
         url = urllib.parse.urlsplit(endpoint.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        host = url.netloc.rpartition("@")[2]
+        if not host.isascii():
+            host = host.encode("idna").decode("ascii")
+        target = f"{url.path}/chat/completions"
+        if _URL_FORBIDDEN.search(host + target) or not target.isascii():
+            raise ValueError("endpoint must hold no space or control character, and its path "
+                             f"only ASCII, got {endpoint!r}")
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
         self._sleep = sleep
-        self._headers = {"Content-Type": "application/json"}
+        headers = {"Host": host, "Accept-Encoding": "identity",
+                   "Content-Type": "application/json"}
         api_key = os.environ.get(api_key_env, "") if api_key_env else ""
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        self._target = f"{url.path}/chat/completions"
+            headers["Authorization"] = f"Bearer {api_key}"
+            if not _is_header_value(headers["Authorization"]):
+                raise ValueError(f"api_key_env: the value of ${api_key_env} "
+                                 "is not a valid HTTP header value")
         self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
                                   else http.client.HTTPConnection)
         self._address = (url.hostname, url.port)
@@ -268,26 +281,26 @@ class HttpBackend:
             if url.scheme == "https":
                 self._tunnel = (url.hostname, url.port, proxy_headers)
             else:
-                self._headers.update(proxy_headers)
-                host = url.netloc.rpartition("@")[2]
-                self._target = f"http://{host}{self._target}"
+                headers.update(proxy_headers)
+                target = f"http://{host}{target}"
+        # Each call appends its body's length, a blank line and the body.
+        self._head = "".join([f"POST {target} HTTP/1.1\r\n",
+                              *(f"{name}: {value}\r\n" for name, value in headers.items()),
+                              "Content-Length: "]).encode("latin-1")
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._connections: list[http.client.HTTPConnection] = []
+        self._connections: list[_Connection] = []
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """The calling thread's connection. A closed one reopens when it is
-        next used."""
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, made on its first call."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._local.conn = self._connection_class(*self._address,
-                                                             timeout=self.timeout_s)
+            opener = self._connection_class(*self._address, timeout=self.timeout_s)
             if self._tunnel is not None:
-                conn.set_tunnel(*self._tunnel)
+                opener.set_tunnel(*self._tunnel)
+            conn = self._local.conn = _Connection(opener)
             with self._lock:
                 self._connections.append(conn)
-        elif conn.sock is not None and _readable(conn.sock):
-            conn.close()  # the server closed it while it was idle
         return conn
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
@@ -295,12 +308,14 @@ class HttpBackend:
         that the connection stays usable."""
         conn = self._connection()
         try:
-            conn.request("POST", self._target, body, self._headers)
-            response = conn.getresponse()
-            return response.status, response.read()
+            conn.socket().sendall(b"%s%d\r\n\r\n%s" % (self._head, len(body), body))
+            status, data, keep_alive = _read_response(conn.reader)
         except BaseException:
             conn.close()
             raise
+        if not keep_alive:
+            conn.close()
+        return status, data
 
     def close(self) -> None:
         """Close every thread's connection; a later call opens a new one.
@@ -365,12 +380,124 @@ def _environment_proxy(scheme: str, host: str) -> str | None:
     return proxy
 
 
-def _readable(sock) -> bool:
-    """True if an idle socket has something to read: the server's close,
-    since every response is read whole."""
-    with selectors.DefaultSelector() as selector:
-        selector.register(sock, selectors.EVENT_READ)
-        return bool(selector.select(0))
+# `http.client`'s checks: characters no request target or host may hold, and
+# a line break in a header value that does not fold it, which would end it.
+_URL_FORBIDDEN = re.compile("[\x00-\x20\x7f]")
+_ILLEGAL_HEADER_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])")
+# `http.client`'s limits on a response: bytes in a line, and header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_BLANK_LINES = (b"\r\n", b"\n", b"")
+
+
+def _is_header_value(value: str) -> bool:
+    try:
+        return not _ILLEGAL_HEADER_VALUE.search(value.encode("latin-1"))
+    except UnicodeEncodeError:
+        return False
+
+
+class _Connection:
+    """One thread's kept-alive connection. `opener`, an `http.client`
+    connection, opens the socket; one buffered reader reads every response
+    on it. A selector, registered when it opens, tells before each reuse
+    whether the server closed it while it was idle: every response is read
+    whole, so anything to read then is the close."""
+
+    def __init__(self, opener: http.client.HTTPConnection):
+        self.opener = opener
+        self.reader = None
+        self.selector = None
+
+    def socket(self):
+        """The open socket; opened anew if it is closed or the server closed it."""
+        if self.reader is not None and self.selector.select(0):
+            self.close()
+        if self.reader is None:
+            self.opener.connect()
+            sock = self.opener.sock
+            self.reader = sock.makefile("rb")
+            self.selector = selectors.DefaultSelector()
+            self.selector.register(sock, selectors.EVENT_READ)
+        return self.opener.sock
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()
+            self.selector.close()
+            self.reader = self.selector = None
+        self.opener.close()
+
+
+def _read_line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_exactly(reader, n: int) -> bytes:
+    data = reader.read(n)
+    if len(data) < n:
+        raise http.client.IncompleteRead(data, n - len(data))
+    return data
+
+
+def _read_response(reader) -> tuple[int, bytes, bool]:
+    """Read one response: its final status, past any 1xx reply; its whole
+    body, chunked, by `Content-Length` or up to the close; and whether the
+    connection stays open, which it does unless the reply is HTTP/1.0, says
+    `Connection: close` or ends with the close. Input `http.client` would
+    refuse raises its exception."""
+    status = 100
+    while status < 200:
+        line = _read_line(reader, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        version, _, rest = line.partition(b" ")
+        try:
+            status = int(rest.split(None, 1)[0])
+        except (IndexError, ValueError):
+            status = 0
+        if not version.startswith(b"HTTP/") or not 100 <= status <= 999:
+            raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+        headers = {}
+        for _ in range(_MAX_HEADERS):
+            line = _read_line(reader, "header line")
+            if line in _BLANK_LINES:
+                break
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    keep_alive = (version != b"HTTP/1.0"
+                  and b"close" not in headers.get(b"connection", b"").lower())
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader), keep_alive
+    try:
+        length = 0 if status in (204, 304) else int(headers[b"content-length"])
+    except (KeyError, ValueError):
+        length = -1
+    if length < 0:
+        return status, reader.read(), False
+    return status, _read_exactly(reader, length), keep_alive
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader, "chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            raise http.client.IncompleteRead(b"".join(chunks)) from None
+        if not size:
+            break
+        chunks.append(_read_exactly(reader, size))
+        _read_exactly(reader, 2)  # the line end after the chunk
+    while _read_line(reader, "trailer line") not in _BLANK_LINES:
+        pass
+    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +608,16 @@ class ReplayBackend:
         at_commit(lambda line=compact_json(row): self._write(line))
 
     def _write(self, line: str) -> None:
-        with open(self.store_path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+        """Append one row, with one system call unless the file takes it in
+        parts, on a descriptor opened around it, so that no handle outlives
+        the call."""
+        data = (line + "\n").encode("utf-8")
+        fd = os.open(self.store_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
     def close(self) -> None:
         """Close the recorded backend's connections, if it keeps any."""

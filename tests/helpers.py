@@ -153,6 +153,11 @@ CLOSE = object()   # reply 200 with "Connection: close", then close
 HANGUP = object()  # reply 200 as if kept alive, then close
 BROKEN = object()  # reply 200 with a body that is not JSON
 SLOW = object()    # reply 200 after half a second
+CHUNKED = object()      # reply 200 in two chunks, then a trailer
+EARLY_HINTS = object()  # reply 103 Early Hints, then 200
+UNTIL_CLOSE = object()  # reply 200 with no Content-Length, ending the body by closing
+HTTP_1_0 = object()     # reply 200 as HTTP/1.0, and keep the connection open
+LONG_HEADER = object()  # reply 200 with a header line over 65,536 bytes
 
 
 def words(text: str) -> int:
@@ -162,8 +167,8 @@ def words(text: str) -> int:
 class ChatStub(ThreadingHTTPServer):
     """Answers `POST .../chat/completions` on 127.0.0.1, kept alive.
 
-    Each chat request takes the next outcome of `script`: an HTTP status,
-    DROP, CLOSE, HANGUP, BROKEN or SLOW; once the script runs out, 200. A
+    Each chat request takes the next outcome of `script`: an HTTP status or
+    one of the replies named above; once the script runs out, 200. A
     200 carries `reply(body)` as its content and whitespace-word token
     usage. Every request, a proxy's CONNECT included, is logged in
     `requests`; `connections` counts accepted connections and `hung_up` is
@@ -221,6 +226,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             return
         if outcome is SLOW:
             time.sleep(0.5)
+        if outcome is EARLY_HINTS:
+            self.wfile.write(b"HTTP/1.1 103 Early Hints\r\nLink: </hint>; rel=preload\r\n\r\n")
         status = outcome if isinstance(outcome, int) else 200
         payload = {"error": {"message": "scripted failure"}}
         if status == 200:
@@ -230,14 +237,27 @@ class _ChatHandler(BaseHTTPRequestHandler):
                                                       for m in body["messages"]),
                                  "completion_tokens": words(content)}}
         data = b"<html>not json</html>" if outcome is BROKEN else json.dumps(payload).encode()
+        if outcome is HTTP_1_0:
+            self.wfile.write(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(data), data))
+            return
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        if outcome is CHUNKED:
+            self.send_header("Transfer-Encoding", "chunked")
+            half = len(data) // 2
+            data = b"".join(b"%x;part\r\n%s\r\n" % (len(chunk), chunk)
+                            for chunk in (data[:half], data[half:]))
+            data += b"0\r\nX-Trailer: end\r\n\r\n"
+        elif outcome is not UNTIL_CLOSE:
+            self.send_header("Content-Length", str(len(data)))
         if outcome is CLOSE:
             self.send_header("Connection", "close")
+        if outcome is LONG_HEADER:
+            self.send_header("X-Padding", "x" * 65536)
         self.end_headers()
         self.wfile.write(data)
-        if outcome is HANGUP:
+        if outcome is HANGUP or outcome is UNTIL_CLOSE:
             self.close_connection = True
 
     def do_CONNECT(self):

@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import json
 import socket
 import sys
 import threading
@@ -38,7 +39,21 @@ from flowtune.backend import (
 from flowtune.model import compact_json
 from flowtune.store import LogicalClock, Price, PriceTable, RunLedger
 
-from .helpers import BROKEN, CLOSE, DROP, HANGUP, SLOW, chat_stub, clear_proxy_env, fenced
+from .helpers import (
+    BROKEN,
+    CHUNKED,
+    CLOSE,
+    DROP,
+    EARLY_HINTS,
+    HANGUP,
+    HTTP_1_0,
+    LONG_HEADER,
+    SLOW,
+    UNTIL_CLOSE,
+    chat_stub,
+    clear_proxy_env,
+    fenced,
+)
 
 
 def req(content: str, purpose: Purpose = Purpose.FORWARD, system: str | None = "sys",
@@ -365,9 +380,19 @@ def test_http_backend_parses_openai_shape(stub, connect, monkeypatch):
     assert (response.input_tokens, response.output_tokens) == (2, 3)
     call = stub.requests[0]
     assert call["path"] == "/chat/completions"
-    assert call["headers"]["Authorization"] == "Bearer secret-token"
+    assert_request_headers(call, f"127.0.0.1:{stub.server_port}")
     assert call["body"]["messages"][0]["role"] == "system"
     assert call["body"]["max_tokens"] == 64
+
+
+def assert_request_headers(call: dict, host: str) -> None:
+    """The headers of a chat request the stub saw, with the body the
+    backend sent (its JSON, re-encoded by `json.dumps`)."""
+    headers = call["headers"]
+    assert headers["Host"] == host
+    assert headers["Content-Length"] == str(len(json.dumps(call["body"]).encode()))
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer secret-token"
 
 
 def test_http_backend_retries_then_succeeds(stub, connect):
@@ -411,7 +436,9 @@ def test_http_unreadable_success_fails_after_one_attempt(stub, connect):
 @pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"timeout_s": 0}, {"timeout_s": -1.0},
                                      {"backoff_base_s": -0.5},
                                      {"endpoint": "api.example.com/v1"},
-                                     {"endpoint": "ftp://api.example.com/v1"}])
+                                     {"endpoint": "ftp://api.example.com/v1"},
+                                     {"endpoint": "http://api.example.com/v 1"},
+                                     {"endpoint": "http://api.example.com/v\u00e9"}])
 def test_http_backend_rejects_out_of_range_settings(setting):
     with pytest.raises(ValueError):
         HttpBackend(**{"endpoint": "http://127.0.0.1:9", **setting})
@@ -430,6 +457,39 @@ def test_http_reconnects_after_connection_close(stub, connect):
     assert backend.complete(req("one")).content == "stubbed reply text"
     assert backend.complete(req("two")).content == "stubbed reply text"
     assert stub.connections == 2
+
+
+@pytest.mark.parametrize("outcome, connections", [
+    (CHUNKED, 1), (EARLY_HINTS, 1), (UNTIL_CLOSE, 2), (HTTP_1_0, 2),
+], ids=["chunked-with-trailer", "103-then-200", "read-until-close", "http-1.0"])
+def test_http_reads_each_framing_and_reuses_only_a_kept_connection(stub, connect, outcome,
+                                                                   connections):
+    """The stub keeps the HTTP/1.0 reply's connection open; the client
+    must not reuse it."""
+    stub.script = [outcome]
+    backend = connect(max_attempts=1)
+    assert backend.complete(req("one")).content == "stubbed reply text"
+    assert backend.complete(req("two")).content == "stubbed reply text"
+    assert (len(stub.requests), stub.connections) == (2, connections)
+
+
+def test_http_header_line_over_the_limit_is_retried_as_a_failure_to_receive(stub, connect):
+    stub.script = [LONG_HEADER]
+    backend = connect(max_attempts=2)
+    assert backend.complete(req("ping")).content == "stubbed reply text"
+    assert (len(stub.requests), stub.connections) == (2, 2)
+    stub.script = [LONG_HEADER]
+    with pytest.raises(TransportError, match="header line"):
+        connect(max_attempts=1).complete(req("ping"))
+
+
+def test_http_backend_refuses_an_api_key_no_header_may_carry(monkeypatch):
+    monkeypatch.setenv("STUB_KEY", "secret-token\r\n")
+    with pytest.raises(ValueError, match=r"\$STUB_KEY") as e:
+        HttpBackend("http://127.0.0.1:9", api_key_env="STUB_KEY")
+    assert "secret-token" not in str(e.value)
+    monkeypatch.setenv("STUB_KEY", "secret-token\n folded")
+    HttpBackend("http://127.0.0.1:9", api_key_env="STUB_KEY")
 
 
 def test_http_reopens_a_connection_the_server_closed_while_idle(stub, connect):
@@ -490,11 +550,22 @@ def test_http_no_proxy_bypasses_the_proxy(stub, connect, monkeypatch):
 
 def test_http_proxy_gets_the_absolute_uri(stub, connect, monkeypatch):
     monkeypatch.setenv("HTTP_PROXY", stub.url)
-    backend = connect("http://api.example.test:8080/v1", max_attempts=1)
+    monkeypatch.setenv("STUB_KEY", "secret-token")
+    backend = connect("http://api.example.test:8080/v1", api_key_env="STUB_KEY",
+                      max_attempts=1)
     assert backend.complete(req("ping")).content == "stubbed reply text"
     call = stub.requests[0]
     assert call["path"] == "http://api.example.test:8080/v1/chat/completions"
-    assert call["headers"]["Host"] == "api.example.test:8080"
+    assert_request_headers(call, "api.example.test:8080")
+
+
+def test_http_internationalized_host_goes_out_in_punycode(stub, connect, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", stub.url)
+    backend = connect("http://b\u00fccher.example.test:8080/v1", max_attempts=1)
+    assert backend.complete(req("ping")).content == "stubbed reply text"
+    call = stub.requests[0]
+    assert call["path"] == "http://xn--bcher-kva.example.test:8080/v1/chat/completions"
+    assert call["headers"]["Host"] == "xn--bcher-kva.example.test:8080"
 
 
 @pytest.mark.parametrize("env", [

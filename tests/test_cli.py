@@ -1,11 +1,13 @@
 import json
 import shutil
 import threading
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from flowtune.backend import ChatRequest, Message, Purpose, TransportError
+from flowtune import config as config_module
+from flowtune.backend import ChatRequest, HttpBackend, Message, Purpose, TransportError
 from flowtune.cli import main
 from flowtune.config import MOCK_SCRIPTS, canned_script
 from flowtune.model import serialize_state
@@ -109,6 +111,25 @@ def test_train_http_bad_max_attempts_exits_2_before_writing(tmp_path, runner):
     assert result.exit_code == 2
     assert "backend.max_attempts" in result.output + str(result.stderr_bytes or b"")
     assert not (run_dir / "ledger.jsonl").exists()
+
+
+def test_train_http_api_key_with_a_line_break_exits_2_before_writing(tmp_path, runner,
+                                                                    monkeypatch):
+    """An API key read from a file with CRLF line ends would end its header."""
+    clear_proxy_env(monkeypatch)
+    monkeypatch.setenv("STUB_KEY", "secret-token\r\n")
+    with chat_stub() as stub:
+        config_path = write_toy_config(tmp_path, extra={"backend": {
+            "kind": "http", "endpoint": stub.url, "api_key_env": "STUB_KEY"}})
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(config_path),
+                                      "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    output = result.output + str(result.stderr_bytes or b"")
+    assert "backend.api_key_env" in output
+    assert "secret-token" not in output
+    assert not run_dir.exists()
+    assert stub.requests == []
 
 
 def test_train_bad_config_exits_2(tmp_path, runner):
@@ -398,6 +419,40 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
+
+
+class PinnedLatency:
+    """An HTTP backend whose responses all report a latency of 0, the one
+    field of a recorded row read off the wall clock."""
+
+    def __init__(self, **kwargs):
+        self.inner = HttpBackend(**kwargs)
+
+    def complete(self, request):
+        return replace(self.inner.complete(request), latency_s=0.0)
+
+    def close(self):
+        self.inner.close()
+
+
+def test_an_http_recording_is_byte_identical_at_every_concurrency(tmp_path, runner,
+                                                                  monkeypatch):
+    clear_proxy_env(monkeypatch)
+    monkeypatch.setattr(config_module, "HttpBackend", PinnedLatency)
+    stores = {}
+    with chat_stub(reply=canned_reply) as stub:
+        for concurrency in (1, 8):
+            root = tmp_path / f"c{concurrency}"
+            root.mkdir()
+            config_path = write_toy_config(root, extra={
+                "backend": {"kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"},
+                "concurrency": concurrency})
+            result = runner.invoke(main, ["train", "--config", str(config_path),
+                                          "--run-dir", str(root / "run")])
+            assert result.exit_code == 0, result.output
+            stores[concurrency] = (root / "store.jsonl").read_bytes()
+    assert stub.connections > 2  # the second run's fan-outs took several connections
+    assert stores[8] == stores[1]
 
 
 def test_a_second_run_recording_into_one_store_exits_2_before_writing(tmp_path, runner,
