@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from .backend import RECORD, ReplayBackend
 from .config import ConfigError, RunConfig, build_runtime, load_config
 from .evaluation import DatasetError, Sample, get_metric, load_dataset, metric_info
 from .model import InvalidStateError, WorkflowState, require_valid
@@ -31,6 +32,10 @@ from .trainer import TrainResult, evaluate, make_batches, train
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 3
+# The files a replay compares; a halted run may lack some, and the replay
+# must then lack them too. Every run records its calls into STORE_FILE.
+REPLAY_FILES = ("records.jsonl", "ledger.jsonl", "best.json")
+STORE_FILE = "store.jsonl"
 
 
 def _fail(code: int, message: str) -> None:
@@ -56,10 +61,14 @@ def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
 def _run(cfg: RunConfig, run_dir: Path,
          state0: WorkflowState | None = None) -> tuple[TrainResult, Runtime]:
     """The run that `train` and `replay` share. Loads the train and val
-    splits and builds the runtime, exiting 2 on a bad config or dataset
-    before any file is written; then writes the run directory, bootstraps
-    from the first batch unless `state0` is given (and kept in the run
-    directory), and trains, exiting 3 on any failure."""
+    splits and builds the runtime, exiting 2 on a used run directory, a bad
+    config or a bad dataset before any file is written; then writes the run
+    directory, records every call into its store, bootstraps from the first
+    batch unless `state0` is given (and kept in the run directory), and
+    trains, exiting 3 on any failure."""
+    if any((run_dir / name).exists() for name in (*REPLAY_FILES, STORE_FILE)):
+        _fail(USAGE_EXIT, f"run directory {run_dir} already holds a run; "
+                          f"records, ledgers and stores are append-only")
     try:
         train_set, val_set = _load_split(cfg, "train"), _load_split(cfg, "val")
         rt = build_runtime(cfg)
@@ -72,6 +81,7 @@ def _run(cfg: RunConfig, run_dir: Path,
     try:
         directory = RunDirectory(run_dir)
         directory.write_config(cfg.resolved_json_obj())
+        rt.client.backend = ReplayBackend(run_dir / STORE_FILE, RECORD, inner=rt.client.backend)
         rt.client.ledger.open_sink(directory.ledger_path)
         if state0 is not None:
             write_checkpoint(state0, directory.root / INIT_CHECKPOINT)
@@ -109,10 +119,9 @@ def cmd_train(config_path, run_dir, mode, seed, epochs, init_checkpoint) -> None
         state0 = None if init_checkpoint is None else load_checkpoint(init_checkpoint)
     except (OSError, KeyError, ValueError) as e:
         _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
-
-    if (Path(run_dir) / "records.jsonl").exists() or (Path(run_dir) / "ledger.jsonl").exists():
-        _fail(USAGE_EXIT, f"run directory {run_dir} already holds a run; "
-                          f"records and ledgers are append-only")
+    if cfg.backend.get("record_path") is not None:
+        _fail(USAGE_EXIT, f"backend.record_path is no longer read: every train records into "
+                          f"{STORE_FILE} in its run directory; remove the key")
     result, rt = _run(cfg, Path(run_dir), state0)
     print(json.dumps({
         "best_val_score": result.best_val_score,
@@ -158,18 +167,22 @@ def cmd_curve(run_dir) -> None:
     records_path = Path(run_dir) / "records.jsonl"
     if not records_path.exists():
         _fail(USAGE_EXIT, f"records file missing: {records_path}")
+    rows = []
+    with open(records_path, "rb") as f:
+        for line_no, line in enumerate(f, 1):
+            try:
+                if line.strip():
+                    row = json.loads(line.decode("utf-8"))
+                    rows.append((row["batch_index"], float(row["val_score"]),
+                                 row["api_calls_so_far"], f'{row["cost_so_far_usd"]:.6f}'))
+            except (ValueError, LookupError, TypeError) as e:
+                _fail(USAGE_EXIT, f"records {records_path}, line {line_no}: "
+                                  f"unreadable row: {e!r}")
     print("batch_index,val_score,best_so_far,calls,cost")
     best = None
-    with open(records_path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            score = float(row["val_score"])
-            best = score if best is None else max(best, score)
-            print(f'{row["batch_index"]},{score},{best},{row["api_calls_so_far"]},'
-                  f'{row["cost_so_far_usd"]:.6f}')
+    for batch_index, score, calls, cost in rows:
+        best = score if best is None else max(best, score)
+        print(f"{batch_index},{score},{best},{calls},{cost}")
 
 
 @main.command("inspect")
@@ -193,34 +206,35 @@ def cmd_inspect(checkpoint, prompt_chars) -> None:
               f"(v{exe.version}) | {tools} | {excerpt}")
 
 
-REPLAY_FILES = ("records.jsonl", "ledger.jsonl", "best.json")
+def _read_if_present(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
 
 
 @main.command("replay")
 @click.option("--run-dir", required=True, type=click.Path(),
-              help="A completed run directory holding config.json and outputs.")
+              help="A run directory holding config.json and outputs.")
 @click.option("--out", "out_dir", default=None, type=click.Path(),
               help="Where to rerun (default: a temporary directory).")
 def cmd_replay(run_dir, out_dir) -> None:
     """Re-run a recorded run and assert its outputs are byte-identical.
 
-    A run that started from a checkpoint starts from its copy in the run
-    directory again."""
+    The run's own store answers every call. Run directories of earlier
+    versions replay from the store their config's record_path names, or,
+    unrecorded, from their deterministic backend. A run that started from a
+    checkpoint starts from its copy in the run directory again."""
     run_path = Path(run_dir)
     config_path = run_path / "config.json"
     if not config_path.exists():
         _fail(USAGE_EXIT, f"no config.json in {run_dir}")
-    for name in REPLAY_FILES:
-        if not (run_path / name).exists():
-            _fail(USAGE_EXIT, f"run directory incomplete: missing {name}")
-
     try:
         cfg = load_config(config_path)
     except ConfigError as e:
         _fail(USAGE_EXIT, str(e))
-    record_path = cfg.backend["record_path"]
-    if record_path is not None and record_path.exists():
-        cfg.backend = {"kind": "replay", "store_path": record_path, "record_path": None}
+    store = run_path / STORE_FILE
+    if not store.exists():
+        store = cfg.backend.get("record_path") or store
+    if store.exists():
+        cfg.backend = {"kind": "replay", "store_path": store}
     elif cfg.backend["kind"] == "http":
         _fail(USAGE_EXIT, "run was neither recorded nor deterministic; cannot replay")
     init_path = run_path / INIT_CHECKPOINT
@@ -233,7 +247,7 @@ def cmd_replay(run_dir, out_dir) -> None:
     try:
         _run(cfg, target, state0)
         mismatches = [name for name in REPLAY_FILES
-                      if (run_path / name).read_bytes() != (target / name).read_bytes()]
+                      if _read_if_present(run_path / name) != _read_if_present(target / name)]
         print(json.dumps({"identical": not mismatches, "mismatched_files": mismatches}))
         if mismatches:
             sys.exit(RUNTIME_EXIT)

@@ -22,7 +22,6 @@ from .backend import (
     ChatRequest,
     HttpBackend,
     Purpose,
-    RECORD,
     REPLAY,
     ReplayBackend,
     ScriptedMockBackend,
@@ -196,8 +195,10 @@ def _parse_backend(obj, base: Path) -> dict:
     if type(obj) is not dict or obj.get("kind") not in BACKEND_KEYS:
         raise ConfigError(f"backend.kind must be one of {tuple(BACKEND_KEYS)}")
     keys, required = BACKEND_KEYS[obj["kind"]]
-    backend = {"record_path": None, **_checked(
-        "backend.", obj, {"kind": str, "record_path": Path | None, **keys}, base, required)}
+    # record_path is read only from the config.json of run directories that
+    # earlier versions wrote; `flowtune train` refuses it.
+    backend = _checked("backend.", obj, {"kind": str, "record_path": Path | None, **keys},
+                       base, required)
     kind = backend["kind"]
     if kind == "scripted-mock":
         backend = {"script": "echo", **backend}
@@ -208,7 +209,7 @@ def _parse_backend(obj, base: Path) -> dict:
         raise ConfigError("backend.endpoint is required for kind 'http'")
     if "mode" in backend and backend["mode"] != REPLAY:
         raise ConfigError("replay backends in config files run in replay mode; "
-                          "use record_path on another backend to record")
+                          "every train records into its run directory")
     return backend
 
 
@@ -275,20 +276,12 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
 def _build_backend(cfg: RunConfig):
     args = dict(cfg.backend)
     kind = args.pop("kind")
-    record_path = args.pop("record_path")
-    if record_path is not None and record_path.is_dir():
-        raise ConfigError(f"backend.record_path names a directory: {record_path}")
-    if record_path is not None and record_path.is_file() and record_path.stat().st_size:
-        raise ConfigError(f"backend.record_path already holds recorded calls: {record_path}")
+    args.pop("record_path", None)
     if kind == "scripted-mock":
-        backend = ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
-    elif kind == "http":
-        backend = _checked_call(HttpBackend, prefix="backend.", **args)
-    else:
-        backend = ReplayBackend(args["store_path"], REPLAY)
-    if record_path is not None:
-        backend = ReplayBackend(record_path, RECORD, inner=backend)
-    return backend
+        return ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
+    if kind == "http":
+        return _checked_call(HttpBackend, prefix="backend.", **args)
+    return ReplayBackend(args["store_path"], REPLAY)
 
 
 def build_runtime(cfg: RunConfig) -> Runtime:

@@ -119,19 +119,23 @@ def metric_info(name: str) -> str:
 
 
 def load_dataset(path: str | Path) -> list[Sample]:
-    """Read one JSONL split; order is file order, ids must be unique."""
+    """Read one JSONL split; order is file order, ids must be unique. A row
+    that is not a JSON object in UTF-8 is a DatasetParseError naming the
+    file and the line."""
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetParseError(path, line_no, f"invalid JSON ({e.msg})") from e
+            except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+                raise DatasetParseError(path, line_no, f"unreadable row: {e!r}") from e
+            if type(row) is not dict:
+                raise DatasetParseError(path, line_no, "row is not a JSON object")
             for key in ("id", "question", "answer"):
                 if key not in row:
                     raise DatasetParseError(path, line_no, f"missing field {key!r}")

@@ -245,6 +245,8 @@ class RunDirectory:
     best.json                    byte copy of the argmax-batch checkpoint
     records.jsonl                one run record per batch
     ledger.jsonl                 one row per model call
+    store.jsonl                  every call's request and reply; replay
+                                 answers from it
     traces/                      optional validation traces
     config.json                  resolved configuration, for replays
     """

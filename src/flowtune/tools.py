@@ -204,9 +204,6 @@ class ToolRegistry:
     def names(self) -> frozenset[str]:
         return frozenset(self._tools)
 
-    def spec(self, name: str) -> ToolSpec:
-        return self._tools[name][0]
-
     def call(self, name: str, arguments: dict) -> str:
         return self._tools[name][1](arguments)
 
@@ -272,10 +269,6 @@ class ToolStepOutcome:
     invocations: tuple[ToolInvocation, ...]
     flags: tuple[str, ...] = ()
     token_usage: TokenUsage = field(default_factory=TokenUsage)
-
-    @property
-    def round_limit_exceeded(self) -> bool:
-        return "round_limit_exceeded" in self.flags
 
 
 def _tool_system_prompt(executor: ExecutorSpec, registry: ToolRegistry,

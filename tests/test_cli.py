@@ -31,7 +31,7 @@ def write_toy_dataset(path, n=4, prefix="t"):
                                 "answer": f"toy question {i}"}) + "\n")
 
 
-def write_toy_config(dir_path, extra=None, record=False):
+def write_toy_config(dir_path, extra=None):
     config = {
         "backend": {"kind": "scripted-mock", "script": "canned"},
         "models": {"executor_model": "exe-toy", "meta_model": "meta-toy"},
@@ -44,8 +44,6 @@ def write_toy_config(dir_path, extra=None, record=False):
         "metric": "exact_match",
         "datasets": {"train": "train.jsonl", "val": "val.jsonl"},
     }
-    if record:
-        config["backend"]["record_path"] = "store.jsonl"
     if extra:
         config.update(extra)
     write_toy_dataset(dir_path / "train.jsonl", 4, "t")
@@ -275,6 +273,19 @@ def test_curve_missing_records_file(tmp_path, runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("torn", [b'{"batch_index": 2, "val_s', b'{"batch_index": 2}',
+                                  b'{"batch_index": 2, "val_score": "\xff"}'])
+def test_curve_on_a_torn_records_line_exits_2_naming_the_line(tmp_path, runner, torn):
+    write_records(tmp_path / "run", [0.2, 0.5])
+    records = tmp_path / "run" / "records.jsonl"
+    records.write_bytes(records.read_bytes() + torn + b"\n")
+    result = runner.invoke(main, ["curve", "--run-dir", str(tmp_path / "run")])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    error = json.loads(result.stderr.strip())["error"]
+    assert error.startswith(f"records {records}, line 3: unreadable row: ")
+
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------
@@ -327,11 +338,11 @@ def test_inspect_rejects_a_number_that_is_not_an_integer(tmp_path, runner):
 # ---------------------------------------------------------------------------
 
 def test_replay_recorded_run_is_identical(tmp_path, runner):
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
-    assert (tmp_path / "store.jsonl").exists()
+    assert (run_dir / "store.jsonl").exists()
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
@@ -342,19 +353,20 @@ def test_replay_of_a_run_with_templates_beside_its_config_is_identical(tmp_path,
     keeps it as that directory, so replay renders the same overrides."""
     override = "Override beside the config.\n" + load_templates().get("grad_loss").user
     (tmp_path / "grad_loss.user.txt").write_text(override, encoding="utf-8")
-    config_path = write_toy_config(tmp_path, extra={"templates_dir": ""}, record=True)
+    config_path = write_toy_config(tmp_path, extra={"templates_dir": ""})
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
-    assert "Override beside the config." in (tmp_path / "store.jsonl").read_text()
+    assert "Override beside the config." in (run_dir / "store.jsonl").read_text()
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
 
 
-@pytest.mark.parametrize("record_path", ["", "."])
-def test_a_record_path_naming_a_directory_exits_2_before_writing(tmp_path, runner,
-                                                                 record_path):
+@pytest.mark.parametrize("record_path", ["", ".", "store.jsonl"])
+def test_train_with_a_record_path_exits_2_before_writing(tmp_path, runner, record_path):
+    """Every run records into its own run directory; a store the config
+    names elsewhere is read only from run directories of earlier versions."""
     config_path = write_toy_config(tmp_path, extra={"backend": {
         "kind": "scripted-mock", "script": "canned", "record_path": record_path}})
     run_dir = tmp_path / "run"
@@ -363,6 +375,22 @@ def test_a_record_path_naming_a_directory_exits_2_before_writing(tmp_path, runne
     assert result.exit_code == 2
     assert "backend.record_path" in result.output
     assert not run_dir.exists()
+    assert not (tmp_path / "store.jsonl").exists()
+
+
+def test_eval_with_a_run_directorys_config_and_best_checkpoint(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    store = (run_dir / "store.jsonl").read_bytes()
+    result = runner.invoke(main, ["eval", "--config", str(run_dir / "config.json"),
+                                  "--checkpoint", str(run_dir / "best.json"),
+                                  "--dataset", str(tmp_path / "val.jsonl"),
+                                  "--metric", "exact_match"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["mean"] == 1.0
+    assert (run_dir / "store.jsonl").read_bytes() == store
 
 
 def test_a_missing_templates_dir_exits_2_before_writing(tmp_path, runner):
@@ -378,7 +406,7 @@ def test_a_missing_templates_dir_exits_2_before_writing(tmp_path, runner):
 
 
 def test_replay_detects_tampered_outputs(tmp_path, runner):
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
@@ -408,7 +436,7 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     clear_proxy_env(monkeypatch)
     with chat_stub(reply=canned_reply) as stub:
         config_path = write_toy_config(tmp_path, extra={"backend": {
-            "kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"}})
+            "kind": "http", "endpoint": stub.url}})
         run_dir = tmp_path / "run"
         result = runner.invoke(main, ["train", "--config", str(config_path),
                                       "--run-dir", str(run_dir)])
@@ -416,7 +444,8 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     summary = json.loads(result.output.strip().splitlines()[-1])
     assert summary["best_val_score"] == 1.0
     assert summary["api_calls"] == len(stub.requests)
-    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    moved = run_dir.rename(tmp_path / "moved")  # the run directory alone replays
+    result = runner.invoke(main, ["replay", "--run-dir", str(moved)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
 
@@ -445,20 +474,19 @@ def test_an_http_recording_is_byte_identical_at_every_concurrency(tmp_path, runn
             root = tmp_path / f"c{concurrency}"
             root.mkdir()
             config_path = write_toy_config(root, extra={
-                "backend": {"kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"},
+                "backend": {"kind": "http", "endpoint": stub.url},
                 "concurrency": concurrency})
             result = runner.invoke(main, ["train", "--config", str(config_path),
                                           "--run-dir", str(root / "run")])
             assert result.exit_code == 0, result.output
-            stores[concurrency] = (root / "store.jsonl").read_bytes()
+            stores[concurrency] = (root / "run" / "store.jsonl").read_bytes()
     assert stub.connections > 2  # the second run's fan-outs took several connections
     assert stores[8] == stores[1]
 
 
-def test_a_second_run_recording_into_one_store_exits_2_before_writing(tmp_path, runner,
-                                                                    monkeypatch):
-    """Replay serves a store's rows in file order, so a second run recorded
-    into the store of a first would be served the first run's replies."""
+def test_two_runs_of_one_config_each_record_their_own_store(tmp_path, runner, monkeypatch):
+    """Replay serves a store's rows in file order, so each run keeps the
+    replies it was given in a store of its own, and each replays them."""
     clear_proxy_env(monkeypatch)
     run_number = [1]
 
@@ -468,30 +496,26 @@ def test_a_second_run_recording_into_one_store_exits_2_before_writing(tmp_path, 
 
     with chat_stub(reply=reply) as stub:
         config_path = write_toy_config(tmp_path, extra={"backend": {
-            "kind": "http", "endpoint": stub.url, "record_path": "store.jsonl"}})
-        first = runner.invoke(main, ["train", "--config", str(config_path),
-                                     "--run-dir", str(tmp_path / "run1")])
-        assert first.exit_code == 0, first.output
-        stored = (tmp_path / "store.jsonl").read_bytes()
-        asked = len(stub.requests)
-        run_number[0] = 2
-        second = runner.invoke(main, ["train", "--config", str(config_path),
-                                      "--run-dir", str(tmp_path / "run2")])
-    assert second.exit_code == 2, second.output
-    assert "backend.record_path" in second.output
-    assert not (tmp_path / "run2").exists()
-    assert len(stub.requests) == asked
-    assert (tmp_path / "store.jsonl").read_bytes() == stored
-    result = runner.invoke(main, ["replay", "--run-dir", str(tmp_path / "run1")])
-    assert json.loads(result.output.strip())["identical"] is True
+            "kind": "http", "endpoint": stub.url}})
+        for number in (1, 2):
+            run_number[0] = number
+            result = runner.invoke(main, ["train", "--config", str(config_path),
+                                          "--run-dir", str(tmp_path / f"run{number}")])
+            assert result.exit_code == 0, result.output
+    stores = [(tmp_path / name / "store.jsonl").read_bytes() for name in ("run1", "run2")]
+    assert b" x x" in stores[1] and b" x x" not in stores[0]
+    for name in ("run1", "run2"):
+        result = runner.invoke(main, ["replay", "--run-dir", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output.strip())["identical"] is True
 
 
 def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
-    store = tmp_path / "store.jsonl"
+    store = run_dir / "store.jsonl"
     rows = len(store.read_text().splitlines())
     store.write_bytes(store.read_bytes()[:-40])
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
@@ -501,11 +525,11 @@ def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
 
 
 def test_replay_of_a_store_row_that_is_not_utf8_exits_2_naming_the_row(tmp_path, runner):
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
-    store = tmp_path / "store.jsonl"
+    store = run_dir / "store.jsonl"
     lines = store.read_bytes().splitlines(keepends=True)
     lines[2] = lines[2].replace(b'"content"', b'"cont\xffent"', 1)
     store.write_bytes(b"".join(lines))
@@ -519,6 +543,40 @@ def test_replay_requires_complete_run_dir(tmp_path, runner):
     (tmp_path / "run").mkdir()
     result = runner.invoke(main, ["replay", "--run-dir", str(tmp_path / "run")])
     assert result.exit_code == 2
+
+
+def test_a_run_halted_before_its_first_batch_replays_identical(tmp_path, runner):
+    """A budget that runs out after bootstrap leaves no records.jsonl and no
+    best.json; the replay must leave them out too."""
+    config_path = write_toy_config(tmp_path, extra={"budget": {"max_calls": 10}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["halted_early"] is True
+    assert not (run_dir / "records.jsonl").exists() and not (run_dir / "best.json").exists()
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip()) == {"identical": True, "mismatched_files": []}
+
+
+def test_replay_out_into_a_used_directory_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    run_dir, out = tmp_path / "run", tmp_path / "out"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    first = runner.invoke(main, ["replay", "--run-dir", str(run_dir), "--out", str(out)])
+    assert json.loads(first.output.strip())["identical"] is True
+    written = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    again = runner.invoke(main, ["replay", "--run-dir", str(run_dir), "--out", str(out)])
+    assert again.exit_code == 2, again.output
+    assert "already holds a run" in again.output
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == written
+    for name in ("records.jsonl", "ledger.jsonl", "best.json"):
+        (out / name).unlink()  # at the end the recorded calls alone mark it as used
+        again = runner.invoke(main, ["replay", "--run-dir", str(run_dir), "--out", str(out)])
+        assert again.exit_code == 2, again.output
+    assert (out / "store.jsonl").read_bytes() == written[out / "store.jsonl"]
 
 
 def test_train_from_init_checkpoint_skips_bootstrap(tmp_path, runner):
@@ -544,7 +602,7 @@ def test_replay_of_a_run_from_an_init_checkpoint_is_identical(tmp_path, runner):
 
     from .helpers import chain_state
 
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     checkpoint = tmp_path / "init.json"
     write_checkpoint(chain_state(2), checkpoint)
     run_dir = tmp_path / "run"
@@ -594,14 +652,15 @@ def test_transport_failure_on_a_meta_call_halts_softly(tmp_path, runner, monkeyp
 def test_replay_of_a_recorded_transport_failure_is_identical(tmp_path, runner, monkeypatch,
                                                              purpose, n):
     monkeypatch.setitem(MOCK_SCRIPTS, "canned", fail_nth_call(purpose, n))
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     result = runner.invoke(main, ["train", "--config", str(config_path),
                                   "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
-    rows = [json.loads(line) for line in (tmp_path / "store.jsonl").read_text().splitlines()]
+    rows = [json.loads(line) for line in (run_dir / "store.jsonl").read_text().splitlines()]
     assert [row["error"] for row in rows if "error" in row] == ["connection dropped"]
-    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    moved = run_dir.rename(tmp_path / "moved")  # the run directory alone replays
+    result = runner.invoke(main, ["replay", "--run-dir", str(moved)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
 
@@ -689,7 +748,7 @@ def test_bad_init_checkpoint_exits_2_before_writing(tmp_path, runner):
 
 
 def test_replay_with_a_missing_split_exits_2_naming_it(tmp_path, runner):
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir)]).exit_code == 0
@@ -703,11 +762,12 @@ def test_replay_reads_the_config_layout_of_earlier_versions(tmp_path, runner):
     """Run directories keep the config as written then: sections hold only
     the keys the user gave, defaults are left out, prices may be decimal
     strings and datasets may name splits a run does not read."""
-    config_path = write_toy_config(tmp_path, record=True)
+    config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
     assert runner.invoke(main, ["train", "--config", str(config_path),
                                 "--run-dir", str(run_dir), "--epochs", "2"]).exit_code == 0
     base = tmp_path.resolve()
+    (run_dir / "store.jsonl").rename(base / "store.jsonl")
     (run_dir / "config.json").write_text(json.dumps({
         "backend": {"kind": "scripted-mock", "record_path": str(base / "store.jsonl"),
                     "script": "canned"},
@@ -743,6 +803,22 @@ def test_unreadable_config_is_a_config_error(tmp_path, runner):
     output = result.output + str(result.stderr_bytes or b"")
     assert "cannot read config file" in output
     assert "invalid checkpoint" not in output
+
+
+@pytest.mark.parametrize("row, reason", [(b"5", "row is not a JSON object"),
+                                         (b'{"id": "\xff"}', "unreadable row: UnicodeDecodeError")])
+def test_a_split_row_that_is_no_object_in_utf8_exits_2_naming_the_line(tmp_path, runner,
+                                                                      row, reason):
+    config_path = write_toy_config(tmp_path)
+    val = tmp_path / "val.jsonl"
+    val.write_bytes(val.read_bytes() + row + b"\n")
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert error.startswith(f"{val}:3: {reason}")
+    assert not run_dir.exists()
 
 
 def test_unreadable_split_exits_2_before_writing(tmp_path, runner):

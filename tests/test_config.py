@@ -297,8 +297,7 @@ def test_readme_config_example_loads(tmp_path):
         json.dumps({"doc_id": "d", "title": "t", "body": "b"}) + "\n")
     cfg = load_config(write(tmp_path, example))
     assert cfg.resolved_json_obj() == json.loads(json.dumps(
-        {**example, "backend": {**example["backend"],
-                                "record_path": str(tmp_path.resolve() / "store.jsonl")},
+        {**example,
          "tools": {**example["tools"],
                    "corpus_path": str(tmp_path.resolve() / "corpus.jsonl")},
          "datasets": {split: str(tmp_path.resolve() / name)

@@ -123,6 +123,18 @@ def test_invalid_json_names_the_line(tmp_path):
     assert e.value.line_no == 2
 
 
+@pytest.mark.parametrize("row, reason", [(b"5", "row is not a JSON object"),
+                                         (b"[1, 2]", "row is not a JSON object"),
+                                         (b'{"id": "\xff"}', "unreadable row: UnicodeDecodeError")])
+def test_a_row_that_is_no_object_in_utf8_names_the_file_and_line(tmp_path, row, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "a", "question": "Q", "answer": "A"}\n' + row + b"\n")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert e.value.line_no == 2
+    assert str(e.value).startswith(f"{path}:2: {reason}")
+
+
 def test_sample_is_frozen():
     sample = Sample(id="s", question="q", answer="a")
     with pytest.raises(AttributeError):

@@ -437,7 +437,7 @@ def test_unknown_tool_is_flagged_and_recorded():
 def test_round_limit_returns_last_text_flagged():
     call = fenced({"tool": "search_topk", "arguments": {"query": "otters"}})
     outcome, rt = run_step(lambda request: call)
-    assert outcome.round_limit_exceeded
+    assert "round_limit_exceeded" in outcome.flags
     assert outcome.output_text == call
     assert len(outcome.invocations) == MAX_TOOL_ROUNDS
     assert rt.client.ledger.call_count == MAX_TOOL_ROUNDS
