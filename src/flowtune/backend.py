@@ -27,6 +27,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -118,6 +119,12 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
+def _fingerprint(model_id: str, messages: tuple[tuple[str, str], ...], temperature) -> int:
+    """The replay key's fields under Python's 64-bit `hash`, valid in one
+    process; type and repr tell 0, 0.0 and -0.0 apart, as the key does."""
+    return hash((model_id, messages, type(temperature), repr(temperature)))
+
+
 class Backend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
@@ -138,10 +145,13 @@ class TransportError(RuntimeError):
 
 
 class ReplayMissError(RuntimeError):
-    def __init__(self, key: str, request: ChatRequest):
+    def __init__(self, key: str, request: ChatRequest, answered: int):
         self.key = key
         self.request = request
-        super().__init__(f"no recorded response for request hash {key}")
+        self.answered = answered
+        super().__init__(f"no recorded response for request hash {key} "
+                         f"({request.purpose.value} call, after {answered} "
+                         f"call{'' if answered == 1 else 's'})")
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +521,19 @@ REPLAY = "replay"
 class ReplayBackend:
     """Record mode persists (request, response) rows; replay mode serves them.
 
-    Replay is strict: a request whose hash is absent from the store fails
-    loudly, naming the hash. Repeated identical requests replay in recorded
-    order, sticking at the last recorded response once exhausted. A call that
-    failed with a `TransportError` is recorded as a row with its "error" in
-    place of a response, and replays as the same failure, in its place.
+    Replay serves rows in file order while each request's fingerprint
+    (`_fingerprint`) matches the next row's; from the first that does not,
+    or past the last row, it serves by replay key, so a store written out of
+    serial order still replays. By key, repeated identical requests replay
+    in recorded order, sticking at the last recorded response once
+    exhausted, and an absent key fails loudly (`ReplayMissError`). By
+    position, the fingerprint is 64 bits, computed per process: a request
+    that differs from the next row still matches it with odds of about
+    2**-64 per call, and gets a reply its key would not; and a hand-edited
+    row whose key does not match its request is served as its request says,
+    not by its key. A call that failed with a `TransportError` is recorded as
+    a row with its "error" in place of a response, and replays as the same
+    failure, in its place.
 
     Both modes keep the serial order. Record mode writes a pool item's rows
     when the item is committed, and waits as its inner backend does.
@@ -531,9 +549,12 @@ class ReplayBackend:
         self.store_path = Path(store_path)
         self.mode = mode
         self.inner = inner
-        # A response, or the message of a recorded TransportError.
-        self._responses: dict[str, list[ChatResponse | str]] = {}
-        self._cursors: dict[str, int] = {}
+        # (fingerprint, key, entry) per row in file order; an entry is a
+        # response, or the message of a recorded TransportError.
+        self._rows: list[tuple[int, str, ChatResponse | str]] = []
+        self._answered = 0  # the next row's index, while served by position
+        self._responses: dict[str, list[ChatResponse | str]] | None = None  # by key
+        self._cursors: Counter[str] = Counter()
         if mode == REPLAY:
             self._load()
 
@@ -543,7 +564,8 @@ class ReplayBackend:
 
     def _load(self) -> None:
         """Read the store; a row that does not parse, such as a last line cut
-        short or not UTF-8, is a ValueError naming the store and the line."""
+        short, not UTF-8 or with data after its value, is a ValueError naming
+        the store and the line."""
         if not self.store_path.exists():
             return
         # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
@@ -553,7 +575,9 @@ class ReplayBackend:
                     line = line.decode("utf-8").strip()
                     if not line:
                         continue
-                    row = json.loads(line)
+                    row, end = _decode_at(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
                     resp = row.get("response")
                     entry = row["error"] if resp is None else ChatResponse(
                         content=resp["content"],
@@ -561,24 +585,44 @@ class ReplayBackend:
                         output_tokens=int(resp.get("output_tokens", 0)),
                         latency_s=float(resp.get("latency_s", 0.0)),
                     )
-                    key = row["key"]
+                    req = row["request"]
+                    messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
+                    self._rows.append((_fingerprint(req["model_id"], messages, req["temperature"]),
+                                       row["key"], entry))
                 except (ValueError, LookupError, TypeError, AttributeError) as e:
                     raise ValueError(f"replay store {self.store_path}, line {number}: "
                                      f"unreadable row: {e!r}") from e
+
+    def _keyed(self, request: ChatRequest) -> ChatResponse | str:
+        """`request`'s entry by key; the first call builds the index, with
+        the cursors where the rows served by position left them."""
+        if self._responses is None:
+            self._responses = {}
+            for _, key, entry in self._rows:
                 self._responses.setdefault(key, []).append(entry)
+            self._cursors.update(key for _, key, _ in self._rows[:self._answered])
+        key = request_replay_key(request)
+        recorded = self._responses.get(key)
+        if not recorded:
+            raise ReplayMissError(key, request, self._answered)
+        cursor = self._cursors[key]
+        self._cursors[key] = cursor + 1
+        return recorded[min(cursor, len(recorded) - 1)]
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        key = request_replay_key(request)
         if self.mode == REPLAY:
-            recorded = self._responses.get(key)
-            if not recorded:
-                raise ReplayMissError(key, request)
-            cursor = self._cursors.get(key, 0)
-            self._cursors[key] = cursor + 1
-            entry = recorded[min(cursor, len(recorded) - 1)]
+            i = self._answered
+            messages = tuple([(m.role, m.content) for m in request.messages])
+            if (self._responses is None and i < len(self._rows) and self._rows[i][0]
+                    == _fingerprint(request.model_id, messages, request.temperature)):
+                entry = self._rows[i][2]
+            else:
+                entry = self._keyed(request)
+            self._answered = i + 1
             if isinstance(entry, str):
                 raise TransportError(entry)
             return entry
+        key = request_replay_key(request)
         try:
             response = self.inner.complete(request)
         except TransportError as e:

@@ -61,11 +61,13 @@ def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
 def _run(cfg: RunConfig, run_dir: Path,
          state0: WorkflowState | None = None) -> tuple[TrainResult, Runtime]:
     """The run that `train` and `replay` share. Loads the train and val
-    splits and builds the runtime, exiting 2 on a used run directory, a bad
-    config or a bad dataset before any file is written; then writes the run
-    directory, records every call into its store, bootstraps from the first
-    batch unless `state0` is given (and kept in the run directory), and
-    trains, exiting 3 on any failure."""
+    splits and builds the runtime, exiting 2 on a run directory that is used
+    or not a directory, a bad config or a bad dataset before any file is
+    written; then writes the run directory, records every call into its
+    store, bootstraps from the first batch unless `state0` is given (and
+    kept in the run directory), and trains, exiting 3 on any failure."""
+    if run_dir.exists() and not run_dir.is_dir():
+        _fail(USAGE_EXIT, f"run directory {run_dir} is not a directory")
     if any((run_dir / name).exists() for name in (*REPLAY_FILES, STORE_FILE)):
         _fail(USAGE_EXIT, f"run directory {run_dir} already holds a run; "
                           f"records, ledgers and stores are append-only")
@@ -95,8 +97,9 @@ def _run(cfg: RunConfig, run_dir: Path,
         _fail(RUNTIME_EXIT, f"bootstrap failed: {e}")
     except Exception as e:  # noqa: BLE001 - surface anything else as runtime failure
         _fail(RUNTIME_EXIT, str(e))
-    rt.client.ledger.close()
-    rt.close()
+    finally:
+        rt.client.ledger.close()
+        rt.close()
     return result, rt
 
 

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import re
 import socket
 import sys
 import threading
@@ -314,6 +315,99 @@ def test_repeated_identical_requests_replay_in_recorded_order(tmp_path):
     assert replayer.complete(req("x")).content == "call 1"
     assert replayer.complete(req("x")).content == "call 2"
     assert replayer.complete(req("x")).content == "call 2"  # sticks at last
+
+
+def record(store, contents, script=lambda request: f"reply to {request.messages[-1].content}"):
+    """Record one call per content into store, in order; the replies."""
+    recorder = ReplayBackend(store, RECORD, inner=ScriptedMockBackend(script))
+    return [recorder.complete(req(content)).content for content in contents]
+
+
+@pytest.fixture()
+def key_calls(monkeypatch):
+    """The requests `request_replay_key` is asked for from now on."""
+    calls = []
+
+    def counted(request):
+        calls.append(request)
+        return request_replay_key(request)
+
+    monkeypatch.setattr("flowtune.backend.request_replay_key", counted)
+    return calls
+
+
+def test_a_matching_replay_computes_no_replay_key(tmp_path, key_calls):
+    store = tmp_path / "store.jsonl"
+    replies = record(store, ["a", "b", "a"])
+    key_calls.clear()
+    replayer = ReplayBackend(store, REPLAY)
+    assert [replayer.complete(req(content)).content for content in ["a", "b", "a"]] == replies
+    assert key_calls == []
+
+
+def test_replay_miss_names_the_purpose_and_the_calls_before_it(tmp_path):
+    store = tmp_path / "store.jsonl"
+    record(store, ["first", "second"])
+    replayer = ReplayBackend(store, REPLAY)
+    replayer.complete(req("first"))
+    with pytest.raises(ReplayMissError) as e:
+        replayer.complete(req("second, changed", purpose=Purpose.GRAD_CALL))
+    assert e.value.answered == 1
+    assert "GradCall call, after 1 call)" in str(e.value)
+    assert request_replay_key(req("second, changed")) in str(e.value)
+
+
+def test_a_store_out_of_serial_order_replays_by_key(tmp_path):
+    store = tmp_path / "store.jsonl"
+    counter = iter(range(1, 100))
+    asked = ["a", "b", "a", "c", "a", "b"]
+    assert record(store, asked, lambda request: f"call {next(counter)}") == \
+        [f"call {n}" for n in range(1, 7)]
+    rows = store.read_text().splitlines(keepends=True)
+    # The first row stays first; each request's rows keep their order.
+    store.write_text("".join(rows[i] for i in (0, 3, 1, 2, 5, 4)))
+    replayer = ReplayBackend(store, REPLAY)
+    assert [replayer.complete(req(content)).content for content in asked + ["a", "c"]] == \
+        ["call 1", "call 2", "call 3", "call 4", "call 5", "call 6", "call 5", "call 4"]
+
+
+@pytest.mark.parametrize("temperature", [0, -0.0])
+def test_a_store_recorded_at_float_zero_misses_another_zero(tmp_path, temperature):
+    store = tmp_path / "store.jsonl"
+    recorder = ReplayBackend(store, RECORD, inner=ScriptedMockBackend())
+    recorder.complete(req("t", temperature=0.0))
+    with pytest.raises(ReplayMissError):
+        ReplayBackend(store, REPLAY).complete(req("t", temperature=temperature))
+
+
+def test_a_recorded_transport_error_replays_by_position(tmp_path, key_calls):
+    store = tmp_path / "store.jsonl"
+
+    def script(request):
+        if request.messages[-1].content == "down":
+            raise TransportError("HTTP 503 three times")
+        return "up"
+
+    recorder = ReplayBackend(store, RECORD, inner=ScriptedMockBackend(script))
+    with pytest.raises(TransportError):
+        recorder.complete(req("down"))
+    assert recorder.complete(req("fine")).content == "up"
+    key_calls.clear()
+    replayer = ReplayBackend(store, REPLAY)
+    with pytest.raises(TransportError, match="^HTTP 503 three times$"):
+        replayer.complete(req("down"))
+    assert replayer.complete(req("fine")).content == "up"
+    assert key_calls == []
+
+
+def test_a_store_row_with_data_after_its_value_fails_to_load(tmp_path):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a", "b"])
+    rows = store.read_text().splitlines()
+    store.write_text(f"{rows[0]}\n{rows[1]} {{}}\n")
+    with pytest.raises(ValueError, match=re.escape(f"replay store {store}, line 2: "
+                                                   "unreadable row: JSONDecodeError('Extra data")):
+        ReplayBackend(store, REPLAY)
 
 
 class Wrapper:

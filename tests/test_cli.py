@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import threading
@@ -524,6 +525,27 @@ def test_replay_of_a_torn_store_exits_2_naming_the_row(tmp_path, runner):
     assert f"{store}, line {rows}: unreadable row" in error
 
 
+def test_replay_miss_exits_3_naming_the_purpose_and_the_calls_before_it(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    store = run_dir / "store.jsonl"
+    rows = [json.loads(line) for line in store.read_text().splitlines()]
+    keys = [row["key"] for row in rows]
+    n = next(n for n in range(10, len(rows)) if keys.count(keys[n]) == 1)
+    # The one row of the (n+1)-th request now records another request.
+    rows[n]["key"] = "0" * 64
+    rows[n]["request"]["messages"][-1]["content"] += " edited"
+    store.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
+    assert result.exit_code == 3
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error.endswith(f"({rows[n]['request']['purpose']} call, after {n} calls)")
+    del result
+    gc.collect()  # a ledger the failed replay left open would warn here
+
+
 def test_replay_of_a_store_row_that_is_not_utf8_exits_2_naming_the_row(tmp_path, runner):
     config_path = write_toy_config(tmp_path)
     run_dir = tmp_path / "run"
@@ -558,6 +580,25 @@ def test_a_run_halted_before_its_first_batch_replays_identical(tmp_path, runner)
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip()) == {"identical": True, "mismatched_files": []}
+
+
+def test_a_run_dir_that_is_a_file_exits_2_before_loading(tmp_path, runner, monkeypatch):
+    config_path = write_toy_config(tmp_path)
+    run_dir = tmp_path / "run"
+    assert runner.invoke(main, ["train", "--config", str(config_path),
+                                "--run-dir", str(run_dir)]).exit_code == 0
+    built = []
+    monkeypatch.setattr("flowtune.cli.build_runtime", lambda cfg: built.append(cfg))
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"not a run")
+    for args in (["train", "--config", str(config_path), "--run-dir", str(plain)],
+                 ["replay", "--run-dir", str(run_dir), "--out", str(plain)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert error == f"run directory {plain} is not a directory"
+    assert built == []
+    assert plain.read_bytes() == b"not a run"
 
 
 def test_replay_out_into_a_used_directory_exits_2_before_writing(tmp_path, runner):
