@@ -1,9 +1,10 @@
 """Record a run once, then re-execute it with zero model calls.
 
-Every chat completion is persisted to an append-only JSONL store keyed by a
-canonical request hash. A replay backend serves the same run from that store
-alone; every run is stamped from a logical clock, so the rerun's ledger,
-records, and best checkpoint come out byte-identical.
+Every chat completion is persisted to an append-only JSONL store, one row
+of request and response per call. A replay backend serves the same run from
+that store alone, matching each call by its request; every run is stamped
+from a logical clock, so the rerun's ledger, records, and best checkpoint
+come out byte-identical.
 
 Run with:  python3 demos/02_record_and_replay.py
 """

@@ -19,7 +19,6 @@ import hashlib
 import http.client
 import json
 import logging
-import math
 import os
 import re
 import selectors
@@ -31,7 +30,6 @@ from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -94,35 +92,20 @@ class ChatResponse:
 
 
 def request_replay_key(request: ChatRequest) -> str:
-    """Canonical hash of the request identity.
+    """The SHA-256 of the request's identity, which names a replay miss.
 
     max_output_tokens is deliberately excluded so tuning the token cap does
     not invalidate existing replay stores.
     """
-    # Byte for byte `compact_json([model_id, [[role, content], ...],
-    # temperature])`, written out string by string.
-    messages = ",".join(f"[{encode_basestring(m.role)},{encode_basestring(m.content)}]"
-                        for m in request.messages)
-    payload = (f"[{encode_basestring(request.model_id)},[{messages}],"
-               f"{_json_number(request.temperature)}]")
+    payload = compact_json([request.model_id, [[m.role, m.content] for m in request.messages],
+                            request.temperature])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _json_number(value) -> str:
-    """`json.dumps(value)`. It writes a finite float and an int as their
-    reprs, so those skip its encoder; anything else, such as NaN or a bool,
-    goes through it."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value)
-
-
-def _fingerprint(model_id: str, messages: tuple[tuple[str, str], ...], temperature) -> int:
-    """The replay key's fields under Python's 64-bit `hash`, valid in one
-    process; type and repr tell 0, 0.0 and -0.0 apart, as the key does."""
-    return hash((model_id, messages, type(temperature), repr(temperature)))
+def _identity(model_id: str, messages: tuple[tuple[str, str], ...], temperature) -> tuple:
+    """What a replay matches a call by: the replay key's fields, with type
+    and repr telling 0, 0.0 and -0.0 apart, as the key does."""
+    return (model_id, messages, type(temperature), repr(temperature))
 
 
 class Backend(Protocol):
@@ -145,8 +128,8 @@ class TransportError(RuntimeError):
 
 
 class ReplayMissError(RuntimeError):
-    def __init__(self, key: str, request: ChatRequest, answered: int):
-        self.key = key
+    def __init__(self, request: ChatRequest, answered: int):
+        self.key = key = request_replay_key(request)
         self.request = request
         self.answered = answered
         super().__init__(f"no recorded response for request hash {key} "
@@ -359,8 +342,11 @@ class HttpBackend:
             try:
                 data = json.loads(raw)
                 usage = data.get("usage", {})
+                content = data["choices"][0]["message"]["content"]
+                if type(content) is not str:  # null for a refusal or a tool call
+                    raise TypeError(f"content is not a string: {content!r}")
                 return ChatResponse(
-                    content=data["choices"][0]["message"]["content"],
+                    content=content,
                     input_tokens=int(usage.get("prompt_tokens", 0)),
                     output_tokens=int(usage.get("completion_tokens", 0)),
                     latency_s=time.monotonic() - start,
@@ -519,21 +505,20 @@ REPLAY = "replay"
 
 
 class ReplayBackend:
-    """Record mode persists (request, response) rows; replay mode serves them.
+    """Record mode persists (request, outcome) rows; replay mode serves them.
 
-    Replay serves rows in file order while each request's fingerprint
-    (`_fingerprint`) matches the next row's; from the first that does not,
-    or past the last row, it serves by replay key, so a store written out of
-    serial order still replays. By key, repeated identical requests replay
-    in recorded order, sticking at the last recorded response once
-    exhausted, and an absent key fails loudly (`ReplayMissError`). By
-    position, the fingerprint is 64 bits, computed per process: a request
-    that differs from the next row still matches it with odds of about
-    2**-64 per call, and gets a reply its key would not; and a hand-edited
-    row whose key does not match its request is served as its request says,
-    not by its key. A call that failed with a `TransportError` is recorded as
-    a row with its "error" in place of a response, and replays as the same
-    failure, in its place.
+    A call is identified by its request (`_identity`). Replay serves rows in
+    file order while each call's identity hashes as the next row's does;
+    from the first that does not, or past the last row, it reads the store
+    again and serves by identity, so a store written out of serial order
+    still replays. By identity, repeated identical requests replay in
+    recorded order, sticking at the last recorded response once exhausted,
+    and an absent one fails loudly (`ReplayMissError`). The hash is 64 bits:
+    a request that differs from the next row still matches it with odds of
+    about 2**-64 per call. A call that failed with a `TransportError` is
+    recorded with its "error" in place of a response, and replays as the
+    same failure, in its place. A missing store is an empty one; the `key`
+    that earlier versions wrote in each row is ignored.
 
     Both modes keep the serial order. Record mode writes a pool item's rows
     when the item is committed, and waits as its inner backend does.
@@ -549,12 +534,12 @@ class ReplayBackend:
         self.store_path = Path(store_path)
         self.mode = mode
         self.inner = inner
-        # (fingerprint, key, entry) per row in file order; an entry is a
+        # (identity hash, entry) per row in file order; an entry is a
         # response, or the message of a recorded TransportError.
-        self._rows: list[tuple[int, str, ChatResponse | str]] = []
+        self._rows: list[tuple[int, ChatResponse | str]] = []
         self._answered = 0  # the next row's index, while served by position
-        self._responses: dict[str, list[ChatResponse | str]] | None = None  # by key
-        self._cursors: Counter[str] = Counter()
+        self._responses: dict[tuple, list[ChatResponse | str]] | None = None  # by identity
+        self._cursors: Counter[tuple] = Counter()
         if mode == REPLAY:
             self._load()
 
@@ -563,9 +548,14 @@ class ReplayBackend:
         return self.mode == RECORD and can_wait(self.inner)
 
     def _load(self) -> None:
-        """Read the store; a row that does not parse, such as a last line cut
-        short, not UTF-8 or with data after its value, is a ValueError naming
-        the store and the line."""
+        """Keep each row's identity hash and entry; no request is kept."""
+        self._rows = [(hash(identity), entry) for identity, entry in self._read()]
+
+    def _read(self):
+        """The store's (identity, entry) rows; a row that does not parse,
+        such as a last line cut short, not UTF-8, with data after its value
+        or with content that is not a string, is a ValueError naming the
+        store and the line."""
         if not self.store_path.exists():
             return
         # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
@@ -579,56 +569,62 @@ class ReplayBackend:
                     if end != len(line):
                         raise json.JSONDecodeError("Extra data", line, end)
                     resp = row.get("response")
-                    entry = row["error"] if resp is None else ChatResponse(
-                        content=resp["content"],
+                    text = row["error"] if resp is None else resp["content"]
+                    if type(text) is not str:
+                        raise TypeError(f"content is not a string: {text!r}")
+                    entry = text if resp is None else ChatResponse(
+                        content=text,
                         input_tokens=int(resp.get("input_tokens", 0)),
                         output_tokens=int(resp.get("output_tokens", 0)),
                         latency_s=float(resp.get("latency_s", 0.0)),
                     )
                     req = row["request"]
                     messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
-                    self._rows.append((_fingerprint(req["model_id"], messages, req["temperature"]),
-                                       row["key"], entry))
+                    identity = _identity(req["model_id"], messages, req["temperature"])
                 except (ValueError, LookupError, TypeError, AttributeError) as e:
                     raise ValueError(f"replay store {self.store_path}, line {number}: "
                                      f"unreadable row: {e!r}") from e
+                yield identity, entry
 
-    def _keyed(self, request: ChatRequest) -> ChatResponse | str:
-        """`request`'s entry by key; the first call builds the index, with
-        the cursors where the rows served by position left them."""
+    def _by_identity(self, identity: tuple, request: ChatRequest) -> ChatResponse | str:
+        """The entry of `identity`; the first call reads the store again to
+        index the loaded rows, with the cursors where the rows served by
+        position left them."""
         if self._responses is None:
+            identities = [row_identity for _, (row_identity, _) in zip(self._rows, self._read())]
+            if [hash(row_identity) for row_identity in identities] != [h for h, _ in self._rows]:
+                raise ValueError(f"replay store {self.store_path} changed after it was loaded")
             self._responses = {}
-            for _, key, entry in self._rows:
-                self._responses.setdefault(key, []).append(entry)
-            self._cursors.update(key for _, key, _ in self._rows[:self._answered])
-        key = request_replay_key(request)
-        recorded = self._responses.get(key)
+            for row_identity, (_, entry) in zip(identities, self._rows):
+                self._responses.setdefault(row_identity, []).append(entry)
+            self._cursors.update(identities[:self._answered])
+        recorded = self._responses.get(identity)
         if not recorded:
-            raise ReplayMissError(key, request, self._answered)
-        cursor = self._cursors[key]
-        self._cursors[key] = cursor + 1
+            raise ReplayMissError(request, self._answered)
+        cursor = self._cursors[identity]
+        self._cursors[identity] = cursor + 1
         return recorded[min(cursor, len(recorded) - 1)]
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self.mode == REPLAY:
             i = self._answered
             messages = tuple([(m.role, m.content) for m in request.messages])
-            if (self._responses is None and i < len(self._rows) and self._rows[i][0]
-                    == _fingerprint(request.model_id, messages, request.temperature)):
-                entry = self._rows[i][2]
+            identity = _identity(request.model_id, messages, request.temperature)
+            if (self._responses is None and i < len(self._rows)
+                    and self._rows[i][0] == hash(identity)):
+                entry = self._rows[i][1]
             else:
-                entry = self._keyed(request)
+                entry = self._by_identity(identity, request)
             self._answered = i + 1
             if isinstance(entry, str):
                 raise TransportError(entry)
             return entry
-        key = request_replay_key(request)
         try:
             response = self.inner.complete(request)
         except TransportError as e:
-            self._record(key, request, error=str(e))
+            self._record(request, error=str(e))
             raise
-        self._record(key, request, response={
+        self._record(request, response={
             "content": response.content,
             "input_tokens": response.input_tokens,
             "output_tokens": response.output_tokens,
@@ -636,10 +632,9 @@ class ReplayBackend:
         })
         return response
 
-    def _record(self, key: str, request: ChatRequest, **outcome) -> None:
+    def _record(self, request: ChatRequest, **outcome) -> None:
         """Write the row of one call, with its response or error, at commit."""
         row = {
-            "key": key,
             "request": {
                 "model_id": request.model_id,
                 "messages": [{"role": m.role, "content": m.content} for m in request.messages],

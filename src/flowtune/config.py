@@ -281,6 +281,8 @@ def _build_backend(cfg: RunConfig):
         return ScriptedMockBackend(MOCK_SCRIPTS[args["script"]])
     if kind == "http":
         return _checked_call(HttpBackend, prefix="backend.", **args)
+    if not args["store_path"].exists():
+        raise ConfigError(f"backend.store_path not found: {args['store_path']}")
     return ReplayBackend(args["store_path"], REPLAY)
 
 

@@ -158,6 +158,7 @@ EARLY_HINTS = object()  # reply 103 Early Hints, then 200
 UNTIL_CLOSE = object()  # reply 200 with no Content-Length, ending the body by closing
 HTTP_1_0 = object()     # reply 200 as HTTP/1.0, and keep the connection open
 LONG_HEADER = object()  # reply 200 with a header line over 65,536 bytes
+REFUSAL = object()      # reply 200 with "content": null and a refusal, as OpenAI does
 
 
 def words(text: str) -> int:
@@ -230,7 +231,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"HTTP/1.1 103 Early Hints\r\nLink: </hint>; rel=preload\r\n\r\n")
         status = outcome if isinstance(outcome, int) else 200
         payload = {"error": {"message": "scripted failure"}}
-        if status == 200:
+        if outcome is REFUSAL:
+            payload = {"choices": [{"message": {"role": "assistant", "content": None,
+                                                "refusal": "I can't help with that."}}]}
+        elif status == 200:
             content = self.server.reply(body)
             payload = {"choices": [{"message": {"role": "assistant", "content": content}}],
                        "usage": {"prompt_tokens": sum(words(m["content"])

@@ -49,6 +49,7 @@ from .helpers import (
     HANGUP,
     HTTP_1_0,
     LONG_HEADER,
+    REFUSAL,
     SLOW,
     UNTIL_CLOSE,
     chat_stub,
@@ -410,6 +411,79 @@ def test_a_store_row_with_data_after_its_value_fails_to_load(tmp_path):
         ReplayBackend(store, REPLAY)
 
 
+def test_recorded_rows_hold_no_key_and_recording_computes_none(tmp_path, key_calls):
+    store = tmp_path / "store.jsonl"
+
+    def script(request):
+        if request.messages[-1].content == "down":
+            raise TransportError("HTTP 503 three times")
+        return "up"
+
+    recorder = ReplayBackend(store, RECORD, inner=ScriptedMockBackend(script))
+    assert recorder.complete(req("fine")).content == "up"
+    with pytest.raises(TransportError):
+        recorder.complete(req("down"))
+    assert [sorted(json.loads(line)) for line in store.read_text().splitlines()] == \
+        [["request", "response"], ["error", "request"]]
+    assert key_calls == []
+
+
+def test_the_out_of_order_fallback_serves_by_identity_and_keys_only_a_miss(tmp_path, key_calls):
+    store = tmp_path / "store.jsonl"
+    counter = iter(range(1, 100))
+    record(store, ["a", "b", "a", "c"], lambda request: f"call {next(counter)}")
+    rows = store.read_text().splitlines(keepends=True)
+    store.write_text("".join(rows[i] for i in (0, 2, 1, 3)))
+    key_calls.clear()
+    replayer = ReplayBackend(store, REPLAY)
+    assert [replayer.complete(req(content)).content for content in ["a", "b", "a", "c", "a"]] \
+        == ["call 1", "call 2", "call 3", "call 4", "call 3"]
+    assert key_calls == []
+    with pytest.raises(ReplayMissError):
+        replayer.complete(req("d"))
+    assert key_calls == [req("d")]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)], ids=["in-order", "out-of-order"])
+def test_a_store_of_an_earlier_version_replays_by_request(tmp_path, order):
+    """Earlier versions wrote each row's replay key first; it is ignored,
+    even where it disagrees with the row's request."""
+    store = tmp_path / "store.jsonl"
+    counter = iter(range(1, 100))
+    record(store, ["a", "b", "a"], lambda request: f"call {next(counter)}")
+    rows = [json.loads(line) for line in store.read_text().splitlines()]
+    keys = [oracle_replay_key(req(content)) for content in ["a", "b", "a"]]
+    keys[1] = keys[0]  # the row of "b" says it is "a"
+    store.write_text("".join(compact_json({**rows[i], "key": keys[i]}) + "\n" for i in order))
+    replayer = ReplayBackend(store, REPLAY)
+    assert [replayer.complete(req(content)).content for content in ["a", "b", "a"]] == \
+        ["call 1", "call 2", "call 3"]
+
+
+@pytest.mark.parametrize("rewrite", [lambda rows: rows[:1],
+                                     lambda rows: [rows[0], rows[1].replace('"b"', '"e"')]],
+                         ids=["shorter", "another-request"])
+def test_a_store_rewritten_before_the_first_fallback_fails_naming_it(tmp_path, rewrite):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a", "b"])
+    replayer = ReplayBackend(store, REPLAY)
+    store.write_text("".join(rewrite(store.read_text().splitlines(keepends=True))))
+    assert replayer.complete(req("a")).content == "reply to a"
+    with pytest.raises(ValueError, match=re.escape(f"replay store {store} changed")):
+        replayer.complete(req("c"))
+
+
+def test_a_store_row_whose_content_is_not_a_string_fails_to_load(tmp_path):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a"])
+    row = json.loads(store.read_text())
+    row["response"]["content"] = None
+    store.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"replay store {store}, line 1: "
+                                                   "unreadable row: TypeError(")):
+        ReplayBackend(store, REPLAY)
+
+
 class Wrapper:
     """A pass-through backend that says nothing of waiting."""
 
@@ -523,6 +597,13 @@ def test_http_transient_failures_are_retried(stub, connect, failure):
 def test_http_unreadable_success_fails_after_one_attempt(stub, connect):
     stub.script = [BROKEN]
     with pytest.raises(TransportError, match="unreadable"):
+        connect(max_attempts=3).complete(req("ping"))
+    assert len(stub.requests) == 1
+
+
+def test_http_null_content_is_an_unreadable_response(stub, connect):
+    stub.script = [REFUSAL]
+    with pytest.raises(TransportError, match="unreadable.*content is not a string: None"):
         connect(max_attempts=3).complete(req("ping"))
     assert len(stub.requests) == 1
 

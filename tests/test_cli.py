@@ -15,7 +15,7 @@ from flowtune.model import serialize_state
 from flowtune.templates import TEMPLATE_NAMES, load_templates
 
 from . import golden_scenario as G
-from .helpers import chain_state, chat_stub, clear_proxy_env
+from .helpers import REFUSAL, chain_state, chat_stub, clear_proxy_env
 from .test_golden_replay import golden_run  # noqa: F401 - reused fixture
 
 
@@ -418,6 +418,32 @@ def test_replay_detects_tampered_outputs(tmp_path, runner):
     assert "records.jsonl" in result.output
 
 
+def test_train_with_a_missing_replay_store_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, extra={"backend": {
+        "kind": "replay", "store_path": "missing.jsonl"}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error == f"backend.store_path not found: {tmp_path.resolve() / 'missing.jsonl'}"
+    assert not run_dir.exists()
+
+
+def test_eval_with_a_missing_replay_store_exits_2(tmp_path, runner):
+    from flowtune.store import write_checkpoint
+
+    config_path = write_toy_config(tmp_path, extra={"backend": {
+        "kind": "replay", "store_path": "missing.jsonl"}})
+    checkpoint = tmp_path / "ckpt.json"
+    write_checkpoint(chain_state(1), checkpoint)
+    result = runner.invoke(main, ["eval", "--checkpoint", str(checkpoint),
+                                  "--dataset", str(tmp_path / "val.jsonl"),
+                                  "--metric", "exact_match", "--config", str(config_path)])
+    assert result.exit_code == 2
+    assert "backend.store_path not found" in result.output
+
+
 def canned_reply(body: dict) -> str:
     """`canned_script`'s reply to a request that came over HTTP, which does
     not carry the purpose: it is read back from the system prompt."""
@@ -447,6 +473,33 @@ def test_replay_of_a_recorded_http_run_is_identical(tmp_path, runner, monkeypatc
     assert summary["api_calls"] == len(stub.requests)
     moved = run_dir.rename(tmp_path / "moved")  # the run directory alone replays
     result = runner.invoke(main, ["replay", "--run-dir", str(moved)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.strip())["identical"] is True
+
+
+def test_a_refused_forward_call_is_a_backend_error_that_replays(tmp_path, runner,
+                                                                monkeypatch):
+    """A reply with null content, as OpenAI sends for a refusal, fails its
+    call as a transport error: the run goes on, and its replay fails the
+    same call again."""
+    clear_proxy_env(monkeypatch)
+    with chat_stub(reply=canned_reply) as stub:
+        config_path = write_toy_config(tmp_path, extra={
+            "backend": {"kind": "http", "endpoint": stub.url}, "concurrency": 1})
+        assert runner.invoke(main, ["train", "--config", str(config_path),
+                                    "--run-dir", str(tmp_path / "first")]).exit_code == 0
+        purposes = [json.loads(line)["request"]["purpose"]
+                    for line in (tmp_path / "first" / "store.jsonl").read_text().splitlines()]
+        n = purposes.index(Purpose.FORWARD.value)
+        stub.script = [200] * n + [REFUSAL]
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--config", str(config_path),
+                                      "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+    rows = [json.loads(line) for line in (run_dir / "store.jsonl").read_text().splitlines()]
+    assert rows[n]["error"].startswith("unreadable chat completion response: TypeError(")
+    assert len(rows) > n + 1
+    result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output.strip())["identical"] is True
 
@@ -532,10 +585,9 @@ def test_replay_miss_exits_3_naming_the_purpose_and_the_calls_before_it(tmp_path
                                 "--run-dir", str(run_dir)]).exit_code == 0
     store = run_dir / "store.jsonl"
     rows = [json.loads(line) for line in store.read_text().splitlines()]
-    keys = [row["key"] for row in rows]
-    n = next(n for n in range(10, len(rows)) if keys.count(keys[n]) == 1)
+    requests = [json.dumps(row["request"]["messages"]) for row in rows]
+    n = next(n for n in range(10, len(rows)) if requests.count(requests[n]) == 1)
     # The one row of the (n+1)-th request now records another request.
-    rows[n]["key"] = "0" * 64
     rows[n]["request"]["messages"][-1]["content"] += " edited"
     store.write_text("".join(json.dumps(row) + "\n" for row in rows))
     result = runner.invoke(main, ["replay", "--run-dir", str(run_dir)])
