@@ -31,7 +31,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .model import compact_json
 from .store import RunLedger
@@ -53,8 +53,11 @@ class Purpose(str, Enum):
 ROLES = ("system", "user")
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One chat message. A named tuple, so it compares and hashes equal to
+    the plain (role, content) pair: replay matches a live request against
+    the pairs it reads from a store without converting either."""
+
     role: str
     content: str
 
@@ -70,13 +73,16 @@ class ChatRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValueError("messages must be nonempty")
-        for m in self.messages:
-            if m.role not in ROLES:
-                raise ValueError(f"bad role {m.role!r}")
-        # A system prompt, when present, leads the conversation.
-        for i, m in enumerate(self.messages):
-            if m.role == "system" and i != 0:
-                raise ValueError("system message must come first")
+        # A system prompt, when present, leads the conversation; a bad role
+        # anywhere is reported first.
+        misplaced_system = False
+        for i, (role, _) in enumerate(self.messages):
+            if role not in ROLES:
+                raise ValueError(f"bad role {role!r}")
+            if role == "system" and i:
+                misplaced_system = True
+        if misplaced_system:
+            raise ValueError("system message must come first")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens <= 0:
@@ -104,8 +110,19 @@ def request_replay_key(request: ChatRequest) -> str:
 
 def _identity(model_id: str, messages: tuple[tuple[str, str], ...], temperature) -> tuple:
     """What a replay matches a call by: the replay key's fields, with type
-    and repr telling 0, 0.0 and -0.0 apart, as the key does."""
+    and repr telling 0, 0.0 and -0.0 apart, as the key does. A request's
+    `Message`s and a store row's (role, content) pairs make equal identities."""
     return (model_id, messages, type(temperature), repr(temperature))
+
+
+def _token_count(value) -> int:
+    """A booked token count: a whole number >= 0, given as a JSON integer or
+    as a float such as 12.0. Anything else, a bool included, is a ValueError."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"token count must be a whole number >= 0, got {value!r}")
+    return value
 
 
 class Backend(Protocol):
@@ -347,8 +364,8 @@ class HttpBackend:
                     raise TypeError(f"content is not a string: {content!r}")
                 return ChatResponse(
                     content=content,
-                    input_tokens=int(usage.get("prompt_tokens", 0)),
-                    output_tokens=int(usage.get("completion_tokens", 0)),
+                    input_tokens=_token_count(usage.get("prompt_tokens", 0)),
+                    output_tokens=_token_count(usage.get("completion_tokens", 0)),
                     latency_s=time.monotonic() - start,
                 )
             except (ValueError, LookupError, TypeError, AttributeError) as e:
@@ -553,9 +570,9 @@ class ReplayBackend:
 
     def _read(self):
         """The store's (identity, entry) rows; a row that does not parse,
-        such as a last line cut short, not UTF-8, with data after its value
-        or with content that is not a string, is a ValueError naming the
-        store and the line."""
+        such as a last line cut short, not UTF-8, with data after its value,
+        with content that is not a string or with a token count that is not
+        a whole number >= 0, is a ValueError naming the store and the line."""
         if not self.store_path.exists():
             return
         # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
@@ -574,8 +591,8 @@ class ReplayBackend:
                         raise TypeError(f"content is not a string: {text!r}")
                     entry = text if resp is None else ChatResponse(
                         content=text,
-                        input_tokens=int(resp.get("input_tokens", 0)),
-                        output_tokens=int(resp.get("output_tokens", 0)),
+                        input_tokens=_token_count(resp.get("input_tokens", 0)),
+                        output_tokens=_token_count(resp.get("output_tokens", 0)),
                         latency_s=float(resp.get("latency_s", 0.0)),
                     )
                     req = row["request"]
@@ -608,8 +625,7 @@ class ReplayBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self.mode == REPLAY:
             i = self._answered
-            messages = tuple([(m.role, m.content) for m in request.messages])
-            identity = _identity(request.model_id, messages, request.temperature)
+            identity = _identity(request.model_id, request.messages, request.temperature)
             if (self._responses is None and i < len(self._rows)
                     and self._rows[i][0] == hash(identity)):
                 entry = self._rows[i][1]

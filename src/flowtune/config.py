@@ -291,7 +291,7 @@ def build_runtime(cfg: RunConfig) -> Runtime:
     comes before any file is written."""
     if cfg.templates_dir is not None and not cfg.templates_dir.is_dir():
         raise ConfigError(f"templates_dir is not a directory: {cfg.templates_dir}")
-    ledger = RunLedger(prices=PriceTable.from_config(cfg.prices))
+    ledger = RunLedger(prices=_checked_call(PriceTable.from_config, cfg.prices, prefix="prices."))
     return _checked_call(
         Runtime,
         client=ChatClient(_build_backend(cfg), ledger, budget=cfg.budget),

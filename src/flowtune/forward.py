@@ -9,7 +9,6 @@ steps jump forward by emitting a ROUTE label on their first line.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 from .backend import TransportError
 from .model import (
@@ -86,7 +85,7 @@ def run_workflow(rt: Runtime, state: WorkflowState, sample) -> ExecutionTrace:
         if isinstance(step.control, Route):
             target, flag = _route_decision(record.output_text, step)
             if flag is not None:
-                records[-1] = replace(record, flags=record.flags + (flag,))
+                records[-1] = record._replace(flags=record.flags + (flag,))
                 logger.warning("step %d: %s", step.step_id, flag)
             if target is not None:
                 i = index_of[target]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 MAX_SKETCH_STEPS = 12
 MAX_LOOP_ITERATIONS = 8
@@ -269,8 +270,10 @@ class ToolInvocation:
     result: str
 
 
-@dataclass(frozen=True)
-class TokenUsage:
+class TokenUsage(NamedTuple):
+    """Tokens in and out. A named tuple that compares equal to the plain
+    tuple of its fields; `+` adds field by field, it does not concatenate."""
+
     input_tokens: int = 0
     output_tokens: int = 0
 
@@ -279,15 +282,16 @@ class TokenUsage:
                           self.output_tokens + other.output_tokens)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One executed step: the envelope it saw, what it produced, and how."""
+class StepRecord(NamedTuple):
+    """One executed step: the envelope it saw, what it produced, and how.
+    A named tuple that compares equal to the plain tuple of its fields; a
+    changed copy is made with `_replace`."""
 
     step_id: int
     input_text: str
     output_text: str
     tool_invocations: tuple[ToolInvocation, ...] = ()
-    token_usage: TokenUsage = field(default_factory=TokenUsage)
+    token_usage: TokenUsage = TokenUsage()
     wall_time: float = 0.0
     flags: tuple[str, ...] = ()
 
@@ -314,9 +318,10 @@ class ExecutionTrace:
 WORKFLOW_SCOPE = 0  # sentinel step_id meaning "the whole workflow"
 
 
-@dataclass(frozen=True)
-class TextualGradient:
-    """Natural-language feedback, scoped either to one step or to the sketch."""
+class TextualGradient(NamedTuple):
+    """Natural-language feedback, scoped either to one step or to the sketch.
+    A named tuple that compares equal to the plain tuple of its fields; a
+    changed copy is made with `_replace`."""
 
     step_id: int  # WORKFLOW_SCOPE for workflow-scoped gradients
     text: str

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import model
 
@@ -55,12 +56,16 @@ class Price:
 
 
 class PriceTable:
-    """USD prices per million tokens, keyed by model id."""
+    """USD prices per million tokens, keyed by model id. A negative price is
+    a ValueError naming the model and the price, so no cost is negative."""
 
     def __init__(self, prices: dict[str, Price] | None = None):
         # Each model's two prices, exactly: numerators over one denominator.
         self._ratios: dict[str, tuple[int, int, int]] = {}
         for model_id, price in (prices or {}).items():
+            for key, value in vars(price).items():
+                if value < 0:
+                    raise ValueError(f"{model_id}.{key} must be >= 0, got {value}")
             n_in, d_in = price.input_per_1m.as_integer_ratio()
             n_out, d_out = price.output_per_1m.as_integer_ratio()
             den = math.lcm(d_in, d_out)
@@ -89,19 +94,31 @@ class PriceTable:
 
 
 def micro_to_usd_str(micro: int) -> str:
-    """Fixed 6-decimal rendering, e.g. 3600 -> '0.003600'."""
-    sign = "-" if micro < 0 else ""
-    micro = abs(micro)
-    return f"{sign}{micro // 1_000_000}.{micro % 1_000_000:06d}"
+    """Fixed 6-decimal rendering of a cost, which is never negative, e.g.
+    3600 -> '0.003600'."""
+    return "%d.%06d" % divmod(micro, 1_000_000)
 
 
-# A run names only a handful of purposes and models, so each row reuses their
-# JSON-quoted form.
-_json_str = lru_cache(maxsize=64)(json.dumps)
+# A run names only a handful of purposes and models, so each pair's part of
+# a ledger line is rendered once.
+@lru_cache(maxsize=64)
+def _line_head(purpose: str, model_id: str) -> str:
+    return f'"purpose": {json.dumps(purpose)}, "model": {json.dumps(model_id)}, '
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+def _ledger_line(idx: int, purpose: str, model_id: str, in_tok: int, out_tok: int,
+                 cost_micro: int, ts: int, warn: bool) -> str:
+    """The ledger line of one row, with its line end: keys in a fixed order,
+    the cost in dollars with six decimals."""
+    end = ', "warn": true}\n' if warn else "}\n"
+    return (f'{{"idx": {idx}, {_line_head(purpose, model_id)}"in_tok": {in_tok}, '
+            f'"out_tok": {out_tok}, "cost_usd": {micro_to_usd_str(cost_micro)}, "ts": {ts}{end}')
+
+
+class LedgerRow(NamedTuple):
+    """One model call's row. A named tuple: it compares equal to the plain
+    tuple of its fields, and a changed copy is made with `_replace`."""
+
     idx: int
     purpose: str
     model: str
@@ -112,16 +129,7 @@ class LedgerRow:
     warn: bool = False
 
     def to_line(self) -> str:
-        warn = ', "warn": true' if self.warn else ""
-        return (
-            f'{{"idx": {self.idx}, '
-            f'"purpose": {_json_str(self.purpose)}, '
-            f'"model": {_json_str(self.model)}, '
-            f'"in_tok": {self.in_tok}, '
-            f'"out_tok": {self.out_tok}, '
-            f'"cost_usd": {micro_to_usd_str(self.cost_micro)}, '
-            f'"ts": {self.ts}{warn}}}'
-        )
+        return _ledger_line(*self)[:-1]
 
 
 class RunLedger:
@@ -150,13 +158,18 @@ class RunLedger:
 
     def record_call(self, purpose: str, model_id: str, input_tokens: int,
                     output_tokens: int) -> LedgerRow:
+        """Book one call. A negative token count, which only a backend
+        outside this package can return, is a ValueError: no cost is negative."""
+        if input_tokens < 0 or output_tokens < 0:
+            raise ValueError(f"token counts must be >= 0, got {input_tokens} in and "
+                             f"{output_tokens} out")
         cost, warn = self.prices.cost_micro(model_id, input_tokens, output_tokens)
         row = LedgerRow(len(self._rows), purpose, model_id, input_tokens, output_tokens,
                         cost, self.clock.now(), warn)
         self._rows.append(row)
         self._cost_micro += cost
         if self._sink is not None:
-            self._sink.write(f"{row.to_line()}\n".encode())
+            self._sink.write(_ledger_line(*row).encode())
         return row
 
     def fork(self) -> "RunLedger":
@@ -170,12 +183,11 @@ class RunLedger:
         reach the sink in one write."""
         ts_offset = self.clock.join(fork.clock)
         base = len(self._rows)
-        self._rows += [LedgerRow(base + i, row.purpose, row.model, row.in_tok, row.out_tok,
-                                 row.cost_micro, row.ts + ts_offset, row.warn)
+        self._rows += [row._replace(idx=base + i, ts=row.ts + ts_offset)
                        for i, row in enumerate(fork._rows)]
         self._cost_micro += fork._cost_micro
         if fork._rows and self._sink is not None:
-            self._sink.write("".join(row.to_line() + "\n" for row in self._rows[base:]).encode())
+            self._sink.write("".join([_ledger_line(*row) for row in self._rows[base:]]).encode())
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:

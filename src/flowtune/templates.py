@@ -9,10 +9,10 @@ inside the templates survive rendering untouched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 TEMPLATE_NAMES = (
     "grad_workflow",
@@ -47,8 +47,10 @@ def render_template(template: str, values: dict[str, object]) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class PromptPair:
+class PromptPair(NamedTuple):
+    """A template's system and user text. A named tuple that compares equal
+    to the plain (system, user) pair; a changed copy is made with `_replace`."""
+
     system: str
     user: str
 

@@ -161,6 +161,10 @@ LONG_HEADER = object()  # reply 200 with a header line over 65,536 bytes
 REFUSAL = object()      # reply 200 with "content": null and a refusal, as OpenAI does
 
 
+class Usage(dict):
+    """An outcome: reply 200 with this "usage" object in place of the word counts."""
+
+
 def words(text: str) -> int:
     return len(text.split())
 
@@ -240,6 +244,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
                        "usage": {"prompt_tokens": sum(words(m["content"])
                                                       for m in body["messages"]),
                                  "completion_tokens": words(content)}}
+            if isinstance(outcome, Usage):
+                payload["usage"] = outcome
         data = b"<html>not json</html>" if outcome is BROKEN else json.dumps(payload).encode()
         if outcome is HTTP_1_0:
             self.wfile.write(b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s"

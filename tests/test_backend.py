@@ -52,6 +52,7 @@ from .helpers import (
     REFUSAL,
     SLOW,
     UNTIL_CLOSE,
+    Usage,
     chat_stub,
     clear_proxy_env,
     fenced,
@@ -484,6 +485,67 @@ def test_a_store_row_whose_content_is_not_a_string_fails_to_load(tmp_path):
         ReplayBackend(store, REPLAY)
 
 
+@pytest.mark.parametrize("key, count", [("input_tokens", -3), ("output_tokens", 2.5),
+                                        ("input_tokens", True), ("output_tokens", "7")])
+def test_a_store_row_whose_token_count_is_not_whole_fails_to_load(tmp_path, key, count):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a", "b"])
+    rows = [json.loads(line) for line in store.read_text().splitlines()]
+    rows[1]["response"][key] = count
+    store.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=re.escape(f"replay store {store}, line 2: unreadable row: "
+                                                   "ValueError(") + ".token count must be a whole "
+                                                   f"number >= 0, got {re.escape(repr(count))}"):
+        ReplayBackend(store, REPLAY)
+
+
+def test_a_store_row_whose_token_count_is_a_whole_float_reads_it_as_an_int(tmp_path):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a"])
+    row = json.loads(store.read_text())
+    row["response"].update(input_tokens=12.0, output_tokens=0.0)
+    store.write_text(json.dumps(row) + "\n")
+    response = ReplayBackend(store, REPLAY).complete(req("a"))
+    assert (response.input_tokens, response.output_tokens) == (12, 0)
+    assert type(response.input_tokens) is int and type(response.output_tokens) is int
+
+
+def test_a_request_of_messages_matches_the_pairs_a_store_row_decodes_to(tmp_path):
+    """A request holds `Message`s and a loaded row plain (role, content)
+    pairs; they match by position and, in a store written out of order, by
+    identity."""
+    store = tmp_path / "store.jsonl"
+    record(store, ["a", "b", "c"])
+    (identity, _), = list(ReplayBackend(store, REPLAY)._read())[:1]
+    assert [type(m) for m in identity[1]] == [tuple, tuple]
+    assert [type(m) for m in req("a").messages] == [Message, Message]
+    assert identity[1] == req("a").messages and hash(identity[1]) == hash(req("a").messages)
+
+    in_order = ReplayBackend(store, REPLAY)
+    assert [in_order.complete(req(c)).content for c in "abc"] == \
+        ["reply to a", "reply to b", "reply to c"]
+    assert in_order._responses is None  # every call served by position
+
+    rows = store.read_text().splitlines(keepends=True)
+    store.write_text("".join(rows[i] for i in (1, 0, 2)))
+    out_of_order = ReplayBackend(store, REPLAY)
+    assert [out_of_order.complete(req(c)).content for c in "abc"] == \
+        ["reply to a", "reply to b", "reply to c"]
+    assert out_of_order._responses is not None  # served through `_by_identity`
+
+
+def test_a_row_with_role_and_content_swapped_misses(tmp_path):
+    store = tmp_path / "store.jsonl"
+    request = req("system", system="user")  # ("system", "user"), ("user", "system")
+    ReplayBackend(store, RECORD, inner=ScriptedMockBackend()).complete(request)
+    row = json.loads(store.read_text())
+    row["request"]["messages"] = [{"role": m["content"], "content": m["role"]}
+                                  for m in row["request"]["messages"]]
+    store.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ReplayMissError):
+        ReplayBackend(store, REPLAY).complete(request)
+
+
 class Wrapper:
     """A pass-through backend that says nothing of waiting."""
 
@@ -606,6 +668,22 @@ def test_http_null_content_is_an_unreadable_response(stub, connect):
     with pytest.raises(TransportError, match="unreadable.*content is not a string: None"):
         connect(max_attempts=3).complete(req("ping"))
     assert len(stub.requests) == 1
+
+
+@pytest.mark.parametrize("usage", [{"prompt_tokens": -5}, {"completion_tokens": 12.7},
+                                   {"prompt_tokens": True}, {"completion_tokens": "12"}])
+def test_http_usage_that_is_not_a_whole_count_is_an_unreadable_response(stub, connect, usage):
+    stub.script = [Usage(usage)]
+    with pytest.raises(TransportError, match="unreadable.*token count must be a whole number"):
+        connect(max_attempts=3).complete(req("ping"))
+    assert len(stub.requests) == 1
+
+
+def test_http_usage_of_whole_floats_reads_as_ints(stub, connect):
+    stub.script = [Usage(prompt_tokens=12.0, completion_tokens=3)]
+    response = connect().complete(req("ping"))
+    assert (response.input_tokens, response.output_tokens) == (12, 3)
+    assert type(response.input_tokens) is int
 
 
 @pytest.mark.parametrize("setting", [{"max_attempts": 0}, {"timeout_s": 0}, {"timeout_s": -1.0},

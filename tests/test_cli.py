@@ -150,6 +150,19 @@ def test_train_bad_budget_exits_2_before_writing(tmp_path, runner, budget):
     assert not run_dir.exists()
 
 
+def test_train_with_a_negative_price_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path, extra={"prices": {
+        "exe-toy": {"input_per_1m": 0.40, "output_per_1m": 1.60},
+        "meta-toy": {"input_per_1m": "-0.40", "output_per_1m": 1.60}}})
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2
+    assert "prices.meta-toy.input_per_1m must be >= 0" in \
+        result.output + str(result.stderr_bytes or b"")
+    assert not run_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

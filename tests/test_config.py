@@ -257,6 +257,14 @@ def test_prices_take_decimal_strings_and_datasets_take_any_split(tmp_path):
     assert obj["datasets"]["dev"] == str(tmp_path.resolve() / "dev.jsonl")
 
 
+@pytest.mark.parametrize("key", ["input_per_1m", "output_per_1m"])
+def test_a_negative_price_is_a_config_error_naming_it(tmp_path, key):
+    cfg = load_config(write(tmp_path, {
+        **BASE, "prices": {"m": {"input_per_1m": "0.40", "output_per_1m": 0, key: "-0.40"}}}))
+    with pytest.raises(ConfigError, match=rf"^prices\.m\.{key} must be >= 0, got -0\.40$"):
+        build_runtime(cfg)
+
+
 def test_ints_stand_in_for_floats_and_null_only_for_optional_keys(tmp_path):
     cfg = load_config(write(tmp_path, {
         **BASE,

@@ -12,6 +12,7 @@ from flowtune.model import (
     Sequential,
     StepRecord,
     StepSpec,
+    TokenUsage,
     WorkflowState,
     control_from_json,
     control_to_json,
@@ -261,3 +262,10 @@ def test_trace_validation():
     bad_final = ExecutionTrace(
         sample_id="s", records=(StepRecord(1, "q", "x1"),), final_output="other")
     assert [v.code for v in validate_trace(bad_final)] == ["FinalOutputMismatch"]
+
+
+def test_token_usage_adds_field_by_field():
+    total = TokenUsage(1, 2) + TokenUsage(10, 20) + TokenUsage()
+    assert type(total) is TokenUsage
+    assert total == TokenUsage(input_tokens=11, output_tokens=22) == (11, 22)
+    assert len(total) == 2  # not the four fields of two concatenated tuples

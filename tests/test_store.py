@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowtune.model import SchemaVersionMismatch, serialize_state
 from flowtune.store import (
+    LedgerRow,
     LogicalClock,
     Price,
     PriceTable,
@@ -55,6 +56,23 @@ def test_unknown_model_costs_zero_with_warning():
     assert row.cost_micro == 0
     assert row.warn is True
     assert '"warn": true' in row.to_line()
+
+
+@pytest.mark.parametrize("pin, pout", [("-0.40", "1.60"), ("0.40", "-0.000001")])
+def test_a_negative_price_is_refused_naming_it(pin, pout):
+    key = "input_per_1m" if pin.startswith("-") else "output_per_1m"
+    with pytest.raises(ValueError, match=rf"^m\.{key} must be >= 0"):
+        table(pin, pout)
+
+
+@pytest.mark.parametrize("in_tok, out_tok", [(-5, 0), (0, -1)])
+def test_a_negative_token_count_is_refused_before_it_is_booked(in_tok, out_tok):
+    """A backend outside the package could return one; a negative cost
+    would render as a wrong ledger line."""
+    ledger = ledger_with(table("0.40", "1.60"))
+    with pytest.raises(ValueError, match=f"token counts must be >= 0, got {in_tok} in"):
+        ledger.record_call("Forward", "m", in_tok, out_tok)
+    assert ledger.call_count == 0 and ledger.total_cost_micro == 0
 
 
 def test_half_even_rounding_at_micro_dollar_boundary():
@@ -237,6 +255,51 @@ def test_absorbed_forks_write_the_bytes_of_serial_calls(tmp_path):
     assert forked.rows == serial.rows
     assert forked.total_cost_micro == serial.total_cost_micro
     assert forked.clock.now() == serial.clock.now()
+
+
+class Booked:
+    """Prices that book each call at the next drawn (cost, warn) pair."""
+
+    def __init__(self, outcomes):
+        self._outcomes = iter(outcomes)
+
+    def cost_micro(self, model_id, input_tokens, output_tokens):
+        return next(self._outcomes)
+
+
+NAMES = st.one_of(st.sampled_from(AWKWARD_NAMES), st.text(max_size=8))
+COSTS = st.one_of(st.sampled_from([0, 999_999, 1_000_000, 10**12]), st.integers(0, 10**13))
+CALLS = st.lists(st.tuples(NAMES, NAMES, st.integers(0, 10**7), st.integers(0, 10**7),
+                           COSTS, st.booleans()), min_size=1, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=CALLS, direct=st.integers(0, 10))
+def test_ledger_lines_are_the_rows_to_line_and_decode_back_to_them(tmp_path_factory, calls,
+                                                                    direct):
+    """The first `direct` calls go to the ledger, the rest through a fork
+    that it absorbs."""
+    sink = tmp_path_factory.mktemp("ledger") / "ledger.jsonl"
+    ledger = RunLedger(Booked([(cost, warn) for *_, cost, warn in calls]), LogicalClock(),
+                       sink_path=sink)
+    fork = ledger.fork()
+    for i, (purpose, model_id, in_tok, out_tok, _, _) in enumerate(calls):
+        (ledger if i < direct else fork).record_call(purpose, model_id, in_tok, out_tok)
+    ledger.absorb(fork)
+    ledger.close()
+
+    rows = ledger.rows
+    assert [(*row[1:6], row.warn) for row in rows] == calls
+    assert [row.idx for row in rows] == list(range(len(calls)))
+    assert sink.read_bytes() == "".join(row.to_line() + "\n" for row in rows).encode()
+    for row, line in zip(rows, sink.read_text(encoding="utf-8").splitlines()):
+        obj = json.loads(line, parse_float=Decimal)
+        assert list(obj) == ["idx", "purpose", "model", "in_tok", "out_tok", "cost_usd", "ts",
+                             *(["warn"] if row.warn else [])]
+        cost = obj["cost_usd"] * 10**6
+        assert cost == int(cost)
+        assert LedgerRow(obj["idx"], obj["purpose"], obj["model"], obj["in_tok"], obj["out_tok"],
+                         int(cost), obj["ts"], obj.get("warn", False)) == row
 
 
 # ---------------------------------------------------------------------------
