@@ -146,10 +146,9 @@ class TransportError(RuntimeError):
 
 class ReplayMissError(RuntimeError):
     def __init__(self, request: ChatRequest, answered: int):
-        self.key = key = request_replay_key(request)
         self.request = request
         self.answered = answered
-        super().__init__(f"no recorded response for request hash {key} "
+        super().__init__(f"no recorded response for request hash {request_replay_key(request)} "
                          f"({request.purpose.value} call, after {answered} "
                          f"call{'' if answered == 1 else 's'})")
 
@@ -684,16 +683,6 @@ class ReplayBackend:
 # ---------------------------------------------------------------------------
 
 class JsonExtractError(ValueError):
-    def __init__(self, message: str, content: str):
-        self.content = content
-        super().__init__(message)
-
-
-class NoJsonFound(JsonExtractError):
-    pass
-
-
-class MalformedJson(JsonExtractError):
     pass
 
 
@@ -706,27 +695,20 @@ def extract_json(content: str):
     """Parse the first well-formed fenced ```json block, else the whole body.
 
     One JSON value must fill a block, so backticks inside a JSON string do
-    not end it. NoJsonFound means nothing in the content even looked like
-    JSON; MalformedJson means something did but would not parse. Both keep
-    the raw content for upstream retry logic.
+    not end it. Content with neither is a JsonExtractError.
     """
-    saw_candidate = False
     for match in _FENCE_OPEN_RE.finditer(content):
-        saw_candidate = True
         try:
             value, end = _decode_at(content, match.end())
         except json.JSONDecodeError:
             continue
         if _FENCE_CLOSE_RE.match(content, end):
             return value
-    body = content.strip()
+    # str.strip also drops the Unicode spaces that json.loads would refuse.
     try:
-        return json.loads(body)
+        return json.loads(content.strip())
     except json.JSONDecodeError:
-        pass
-    if saw_candidate or body.startswith(("{", "[")):
-        raise MalformedJson("JSON content present but unparseable", content)
-    raise NoJsonFound("no JSON content found", content)
+        raise JsonExtractError("no well-formed JSON in the reply") from None
 
 
 def render_fenced(value) -> str:
@@ -754,10 +736,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class JsonRetryExhausted(RuntimeError):
-    def __init__(self, last_error: JsonExtractError, attempts: int):
-        self.last_error = last_error
-        self.attempts = attempts
-        super().__init__(f"no valid JSON after {attempts} attempts")
+    pass
 
 
 REPAIR_INSTRUCTION = (
@@ -843,14 +822,12 @@ class ChatClient:
         """complete() plus JSON extraction, re-asking with a repair line on
         failure, up to JSON_RETRY_LIMIT times."""
         req = request
-        last: JsonExtractError | None = None
         for attempt in range(JSON_RETRY_LIMIT + 1):
             response = self.complete(req)
             try:
                 return extract_json(response.content)
-            except JsonExtractError as e:
-                last = e
+            except JsonExtractError:
                 logger.warning("malformed JSON from %s call (attempt %d/%d)",
                                request.purpose.value, attempt + 1, JSON_RETRY_LIMIT + 1)
                 req = replace(req, messages=req.messages + (Message("user", REPAIR_INSTRUCTION),))
-        raise JsonRetryExhausted(last, JSON_RETRY_LIMIT + 1)
+        raise JsonRetryExhausted(f"no valid JSON after {JSON_RETRY_LIMIT + 1} attempts")

@@ -37,7 +37,6 @@ class Sample:
 
 @dataclass(frozen=True)
 class EvalResult:
-    metric_name: str
     score: float
     feedback: str
 
@@ -60,11 +59,10 @@ def exact_match(prediction: str, truth: str) -> EvalResult:
     norm_pred = normalize_answer(prediction)
     norm_truth = normalize_answer(truth)
     if norm_pred == norm_truth:
-        return EvalResult("exact_match", 1.0,
-                          f"exact_match = 1.0. The prediction matches the ground truth "
-                          f"(normalized: {norm_pred!r}).")
+        return EvalResult(1.0, f"exact_match = 1.0. The prediction matches the ground truth "
+                               f"(normalized: {norm_pred!r}).")
     return EvalResult(
-        "exact_match", 0.0,
+        0.0,
         f"exact_match = 0.0. The prediction does not match the ground truth. "
         f"Normalized prediction: {norm_pred!r}. Normalized ground truth: {norm_truth!r}.",
     )
@@ -74,7 +72,7 @@ def token_f1(prediction: str, truth: str) -> EvalResult:
     pred_tokens = normalize_answer(prediction).split()
     truth_tokens = normalize_answer(truth).split()
     if not pred_tokens and not truth_tokens:
-        return EvalResult("token_f1", 1.0, "token_f1 = 1.0000. Both sides empty after normalization.")
+        return EvalResult(1.0, "token_f1 = 1.0000. Both sides empty after normalization.")
     overlap = sum((Counter(pred_tokens) & Counter(truth_tokens)).values())
     if overlap == 0:
         score = 0.0
@@ -86,7 +84,7 @@ def token_f1(prediction: str, truth: str) -> EvalResult:
         f"token_f1 = {score:.4f}. Prediction tokens: {pred_tokens}. "
         f"Ground-truth tokens: {truth_tokens}. Shared token count: {overlap}."
     )
-    return EvalResult("token_f1", score, feedback)
+    return EvalResult(score, feedback)
 
 
 METRICS = {

@@ -307,12 +307,10 @@ def _structure_values(rt: Runtime, state: WorkflowState, trace: ExecutionTrace,
 def grad_workflow(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,
                   eval_result: EvalResult, metrics_info: str) -> TextualGradient:
     """Structure-level gradient; partial traces are allowed."""
-    text, reasoning = _ask(
-        rt, "grad_workflow",
-        _structure_values(rt, state, trace, sample, eval_result, metrics_info),
-        Purpose.GRAD_WORKFLOW, sample, "workflow",
-        read=lambda reply: (_text_gradient(reply), str(reply.get("reasoning", ""))))
-    return TextualGradient.for_workflow(clip_gradient(text), sample.id, reasoning=reasoning)
+    text = _ask(rt, "grad_workflow",
+                _structure_values(rt, state, trace, sample, eval_result, metrics_info),
+                Purpose.GRAD_WORKFLOW, sample, "workflow")
+    return TextualGradient.for_workflow(clip_gradient(text), sample.id)
 
 
 def grad_combined(rt: Runtime, state: WorkflowState, trace: ExecutionTrace, sample: Sample,

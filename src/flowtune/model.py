@@ -326,7 +326,6 @@ class TextualGradient(NamedTuple):
     step_id: int  # WORKFLOW_SCOPE for workflow-scoped gradients
     text: str
     sample_id: str
-    reasoning: str | None = None
 
     @property
     def is_workflow_scoped(self) -> bool:
@@ -339,9 +338,8 @@ class TextualGradient(NamedTuple):
         return TextualGradient(step_id=step_id, text=text, sample_id=sample_id)
 
     @staticmethod
-    def for_workflow(text: str, sample_id: str, reasoning: str | None = None) -> "TextualGradient":
-        return TextualGradient(step_id=WORKFLOW_SCOPE, text=text, sample_id=sample_id,
-                               reasoning=reasoning)
+    def for_workflow(text: str, sample_id: str) -> "TextualGradient":
+        return TextualGradient(step_id=WORKFLOW_SCOPE, text=text, sample_id=sample_id)
 
 
 # ---------------------------------------------------------------------------

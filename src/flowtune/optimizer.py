@@ -78,29 +78,13 @@ class PlanStep:
 
 
 @dataclass(frozen=True)
-class PlanDecision:
-    reasoning: str
-    should_update: bool
-    plan: tuple[PlanStep, ...]
-
-
-@dataclass(frozen=True)
-class PromptUpdate:
-    updated_prompt: str
-    changes_made: tuple[str, ...]
-    reasoning: str
-
-
-@dataclass(frozen=True)
 class UpdateOutcome:
     """Result of a workflow update attempt. `state` is always usable: the new
     state when applied, the original otherwise."""
 
     state: WorkflowState
-    decision: PlanDecision | None
     applied: bool
     error: str | None = None
-    init_count: int = 0
 
 
 class PlanFormatError(ValueError):
@@ -150,7 +134,8 @@ def _parse_plan_step(obj, inline_prompts: bool) -> PlanStep:
     )
 
 
-def parse_plan_decision(obj, inline_prompts: bool = False) -> PlanDecision:
+def parse_plan_decision(obj, inline_prompts: bool = False) -> tuple[PlanStep, ...] | None:
+    """The plan of a meta decision, or None when it declines to update."""
     if not isinstance(obj, dict):
         raise PlanFormatError(f"decision must be an object, got {type(obj).__name__}")
     should_update = obj.get("should_update")
@@ -161,12 +146,9 @@ def parse_plan_decision(obj, inline_prompts: bool = False) -> PlanDecision:
         raw_plan = []
     if not isinstance(raw_plan, list):
         raise PlanFormatError("updated_execution_plan must be a list")
-    plan = tuple(_parse_plan_step(s, inline_prompts) for s in raw_plan) if should_update else ()
-    return PlanDecision(
-        reasoning=str(obj.get("reasoning", "")),
-        should_update=should_update,
-        plan=plan,
-    )
+    if not should_update:
+        return None
+    return tuple(_parse_plan_step(s, inline_prompts) for s in raw_plan)
 
 
 def sanitize_executor_name(name: str) -> str:
@@ -241,35 +223,34 @@ def _candidate(state: WorkflowState, plan: tuple[PlanStep, ...],
 
 
 def _decide(rt: Runtime, state: WorkflowState, template: str, values: dict[str, object],
-            inline_prompts: bool = False) -> PlanDecision | UpdateOutcome:
-    """The meta model's plan decision on `template`, or the outcome that
-    ends the update when there is no plan to apply: an unparseable reply or
-    a decision not to update."""
+            inline_prompts: bool = False) -> tuple[PlanStep, ...] | UpdateOutcome:
+    """The meta model's plan on `template`, or the outcome that ends the
+    update when there is no plan to apply: an unparseable reply or a
+    decision not to update."""
     try:
-        decision = parse_plan_decision(rt.meta_json(template, values, Purpose.OPTIM_WORKFLOW),
-                                       inline_prompts)
+        plan = parse_plan_decision(rt.meta_json(template, values, Purpose.OPTIM_WORKFLOW),
+                                   inline_prompts)
     except JsonRetryExhausted:
         logger.warning("workflow update skipped: JSON retries exhausted")
-        return UpdateOutcome(state=state, decision=None, applied=False, error="json_failure")
+        return UpdateOutcome(state=state, applied=False, error="json_failure")
     except PlanFormatError as e:
         logger.warning("workflow update skipped: %s", e)
-        return UpdateOutcome(state=state, decision=None, applied=False,
-                             error=f"plan_format: {e}")
-    if not decision.should_update:
-        return UpdateOutcome(state=state, decision=decision, applied=False)
-    return decision
+        return UpdateOutcome(state=state, applied=False, error=f"plan_format: {e}")
+    if plan is None:
+        return UpdateOutcome(state=state, applied=False)
+    return plan
 
 
-def _rejection(rt: Runtime, state: WorkflowState, decision: PlanDecision,
+def _rejection(rt: Runtime, state: WorkflowState,
                candidate: WorkflowState) -> UpdateOutcome | None:
-    """The outcome that keeps `state` when `candidate`, the state `decision`
+    """The outcome that keeps `state` when `candidate`, the state a plan
     builds, fails validation; None when it is valid."""
     violations = validate_state(candidate, rt.tools.names())
     if not violations:
         return None
     error = "PlanInvalid: " + "; ".join(str(v) for v in violations)
     logger.warning("plan rejected: %s", error)
-    return UpdateOutcome(state=state, decision=decision, applied=False, error=error)
+    return UpdateOutcome(state=state, applied=False, error=error)
 
 
 def update_workflow(rt: Runtime, state: WorkflowState,
@@ -284,7 +265,7 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     """
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
-    decision = _decide(rt, state, "optim_workflow", {
+    plan = _decide(rt, state, "optim_workflow", {
         "metrics_info": metrics_info,
         "available_tools": rt.tools.describe(),
         "current_workflow": render_workflow_structure(state),
@@ -293,22 +274,22 @@ def update_workflow(rt: Runtime, state: WorkflowState,
         "aggregated_gradients": aggregate_gradients(gradients),
         "output_format_instruction": OUTPUT_FORMAT_REMINDER,
     })
-    if isinstance(decision, UpdateOutcome):
-        return decision
+    if isinstance(plan, UpdateOutcome):
+        return plan
 
     # Each new step stands in with an executor of its future kind and tools,
     # under a name neither the registry nor the plan uses, so the plan is
     # judged whole before any initialization is billed.
-    named = set(state.executors) | {step.executor_name for step in decision.plan}
+    named = set(state.executors) | {step.executor_name for step in plan}
     stand_ins: list[ExecutorSpec | None] = []
-    for step in decision.plan:
+    for step in plan:
         stand_in = None
         if step.executor_type == NEW:
             stand_in = _executor(step, uniquify_name(f"NewStep{step.step_id}", named),
                                  step.description, step.generation_guideline)
             named.add(stand_in.name)
         stand_ins.append(stand_in)
-    rejection = _rejection(rt, state, decision, _candidate(state, decision.plan, stand_ins))
+    rejection = _rejection(rt, state, _candidate(state, plan, stand_ins))
     if rejection is not None:
         return rejection
 
@@ -318,7 +299,7 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     new_executors: list[ExecutorSpec | None] = []
     taken = set(state.executors)
     try:
-        for step in decision.plan:
+        for step in plan:
             spec = None
             if step.executor_type == NEW:
                 spec = init_executor(rt, step, sample_questions, taken)
@@ -326,18 +307,15 @@ def update_workflow(rt: Runtime, state: WorkflowState,
             new_executors.append(spec)
     except InitFailed as e:
         logger.warning("plan aborted: %s", e)
-        return UpdateOutcome(state=state, decision=decision, applied=False,
-                             error=f"InitFailed: {e}")
-    return UpdateOutcome(state=_candidate(state, decision.plan, new_executors),
-                         decision=decision, applied=True,
-                         init_count=sum(spec is not None for spec in new_executors))
+        return UpdateOutcome(state=state, applied=False, error=f"InitFailed: {e}")
+    return UpdateOutcome(state=_candidate(state, plan, new_executors), applied=True)
 
 
 def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
                   gradients: list[TextualGradient], num_samples: int, *,
-                  sketch: str | None = None) -> PromptUpdate | None:
-    """One TGD step for one executor. Returns None when the meta reply could
-    not be parsed; the caller keeps the old prompt in that case. `sketch` is
+                  sketch: str | None = None) -> str | None:
+    """One TGD step for one executor: the updated prompt, or None when the
+    meta reply could not be parsed; the caller keeps the old prompt then. `sketch` is
     `render_workflow_sketch(state)`, when the caller has it already."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
@@ -365,14 +343,7 @@ def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
     if not updated:
         logger.warning("prompt update skipped for %s: empty prompt", executor.name)
         return None
-    changes = obj.get("changes_made", [])
-    if not isinstance(changes, list):
-        changes = [str(changes)]
-    return PromptUpdate(
-        updated_prompt=updated,
-        changes_made=tuple(str(c) for c in changes),
-        reasoning=str(obj.get("reasoning", "")),
-    )
+    return updated
 
 
 def update_workflow_combined(rt: Runtime, state: WorkflowState,
@@ -382,7 +353,7 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
     once, no separate initialization. Used when the bilevel split is off."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
-    decision = _decide(rt, state, "optim_combined", {
+    plan = _decide(rt, state, "optim_combined", {
         "metrics_info": metrics_info,
         "available_tools": rt.tools.describe(),
         "current_workflow": render_workflow_structure(state),
@@ -390,12 +361,12 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
         "num_samples": len(gradients),
         "aggregated_gradients": aggregate_gradients(gradients),
     }, inline_prompts=True)
-    if isinstance(decision, UpdateOutcome):
-        return decision
+    if isinstance(plan, UpdateOutcome):
+        return plan
 
     executors = dict(state.executors)
     bound = []
-    for step in decision.plan:
+    for step in plan:
         name = sanitize_executor_name(step.executor_name)
         existing = executors.get(name)
         prompt = step.prompt or (existing.prompt if existing else "")
@@ -407,16 +378,16 @@ def update_workflow_combined(rt: Runtime, state: WorkflowState,
             description = step.description
         executors[name] = _executor(step, name, description, prompt, version)
         bound.append(executors[name])
-    candidate = _candidate(state, decision.plan, bound)
-    return (_rejection(rt, state, decision, candidate)
-            or UpdateOutcome(state=candidate, decision=decision, applied=True))
+    candidate = _candidate(state, plan, bound)
+    return _rejection(rt, state, candidate) or UpdateOutcome(state=candidate, applied=True)
 
 
 def update_all_prompts(rt: Runtime, state: WorkflowState,
                        gradients: list[TextualGradient],
-                       num_samples: int) -> tuple[WorkflowState, bool]:
+                       num_samples: int) -> WorkflowState:
     """One meta call updating every live executor's prompt, for runs that skip
-    layer-by-layer backpropagation. Returns (state, applied)."""
+    layer-by-layer backpropagation. Returns the new state, or `state` itself
+    when no prompt changed."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
     try:
@@ -430,7 +401,7 @@ def update_all_prompts(rt: Runtime, state: WorkflowState,
             raise TypeError("updates must be an object")
     except (JsonRetryExhausted, KeyError, TypeError):
         logger.warning("all-prompts update skipped: unparseable meta reply")
-        return state, False
+        return state
     executors = dict(state.executors)
     live = set(state.live_executor_names())
     changed = False
@@ -442,9 +413,8 @@ def update_all_prompts(rt: Runtime, state: WorkflowState,
             executors[name] = replace(current, prompt=prompt, version=current.version + 1)
             changed = True
     if not changed:
-        return state, False
-    return WorkflowState(sketch=state.sketch, executors=executors,
-                         revision=state.revision + 1), True
+        return state
+    return WorkflowState(sketch=state.sketch, executors=executors, revision=state.revision + 1)
 
 
 # ---------------------------------------------------------------------------

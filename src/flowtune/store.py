@@ -283,10 +283,8 @@ class RunDirectory:
     def checkpoint_path(self, batch_index: int) -> Path:
         return self.root / "checkpoints" / f"batch_{batch_index}.json"
 
-    def write_batch_checkpoint(self, state: model.WorkflowState, batch_index: int) -> Path:
-        path = self.checkpoint_path(batch_index)
-        write_checkpoint(state, path)
-        return path
+    def write_batch_checkpoint(self, state: model.WorkflowState, batch_index: int) -> None:
+        write_checkpoint(state, self.checkpoint_path(batch_index))
 
     def promote_best(self, batch_index: int) -> None:
         # Byte copy keeps best.json hash-equal to the source checkpoint.
@@ -299,8 +297,8 @@ class RunDirectory:
     def write_trace(self, batch_index: int, trace: model.ExecutionTrace) -> None:
         tdir = self.root / "traces" / f"batch_{batch_index}"
         tdir.mkdir(parents=True, exist_ok=True)
-        path = tdir / f"{trace.sample_id}.json"
-        path.write_text(model.canonical_json(model.trace_to_json_obj(trace)), encoding="utf-8")
+        _replace_file(tdir / f"{trace.sample_id}.json",
+                      model.canonical_json(model.trace_to_json_obj(trace)).encode("utf-8"))
 
     def write_config(self, obj: dict) -> None:
         _replace_file(self.root / "config.json", model.canonical_json(obj).encode("utf-8"))

@@ -305,7 +305,7 @@ def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
             continue
         if config.mode == MODE_NO_LAYERWISE:
             flat = [g for grads in per_sample_gradients for _, g in sorted(grads.items())]
-            state, _ = update_all_prompts(rt, state, flat, num_samples=len(forwards.batch))
+            state = update_all_prompts(rt, state, flat, num_samples=len(forwards.batch))
             continue
         state = _update_prompts(rt, state, per_sample_gradients, num_samples=len(forwards.batch))
     return state
@@ -347,7 +347,7 @@ def _update_prompts(rt: Runtime, state: WorkflowState,
     if failure is not None:
         raise failure
     updated = state
-    for (name, _), update in zip(jobs, updates):
-        if update is not None:
-            updated = with_updated_prompt(updated, name, update.updated_prompt)
+    for (name, _), prompt in zip(jobs, updates):
+        if prompt is not None:
+            updated = with_updated_prompt(updated, name, prompt)
     return updated

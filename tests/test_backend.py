@@ -19,10 +19,9 @@ from flowtune.backend import (
     ChatRequest,
     ChatResponse,
     HttpBackend,
+    JsonExtractError,
     JsonRetryExhausted,
-    MalformedJson,
     Message,
-    NoJsonFound,
     Purpose,
     RECORD,
     REPLAY,
@@ -110,15 +109,14 @@ def test_extract_prefers_first_wellformed_block():
 
 
 def test_extract_no_json():
-    with pytest.raises(NoJsonFound) as e:
+    with pytest.raises(JsonExtractError):
         extract_json("no json here")
-    assert e.value.content == "no json here"
 
 
 def test_extract_malformed():
-    with pytest.raises(MalformedJson):
+    with pytest.raises(JsonExtractError):
         extract_json('{"unterminated": ')
-    with pytest.raises(MalformedJson):
+    with pytest.raises(JsonExtractError):
         extract_json("```json\n{nope}\n```")
 
 
@@ -141,10 +139,10 @@ def test_a_fence_inside_a_json_string_does_not_end_the_block():
     reply = {"prompt": "Reply with a ```json block, like\n```json\n{}\n```"}
     assert extract_json("Plan:\n" + render_fenced(reply) + "\nDone.") == reply
     # The value must fill the block: text before the closing fence spoils it.
-    with pytest.raises(MalformedJson):
+    with pytest.raises(JsonExtractError):
         extract_json('```json\n{"a": 1} and more\n```')
     # An unclosed block is not well-formed, however its value parses.
-    with pytest.raises(MalformedJson):
+    with pytest.raises(JsonExtractError):
         extract_json('```json\n{"a": 1}')
 
 

@@ -234,8 +234,8 @@ def test_grad_workflow_carries_reasoning_and_sections():
     gradient = grad_workflow(rt, state, trace, sample,
                              exact_match(trace.final_output, sample.answer), EM_INFO)
     assert gradient.is_workflow_scoped
-    assert gradient.reasoning == "why"
     assert gradient.text == "restructure"
+    assert gradient == TextualGradient.for_workflow("restructure", sample.id)
     prompt = user_content(script.calls[0])
     assert "## Current Workflow Structure" in prompt
     assert "## Execution Trace" in prompt

@@ -72,10 +72,10 @@ def test_update_prompt_applies_and_bumps_version():
         {"updated_prompt": "X", "changes_made": ["rewrote"], "reasoning": "because"})})
     rt = make_runtime(script)
     state = chain_state(2)
-    update = update_prompt(rt, state, state.executors["step_1"], step_grads(1, 3),
-                           num_samples=3)
-    assert update.updated_prompt == "X"
-    new_state = with_updated_prompt(state, "step_1", update.updated_prompt)
+    updated = update_prompt(rt, state, state.executors["step_1"], step_grads(1, 3),
+                            num_samples=3)
+    assert updated == "X"
+    new_state = with_updated_prompt(state, "step_1", updated)
     assert new_state.executors["step_1"].prompt == "X"
     assert new_state.executors["step_1"].version == 1
     assert new_state.revision == state.revision + 1
@@ -151,7 +151,6 @@ def test_should_update_false_keeps_state_and_makes_no_init_calls():
     assert outcome.applied is False
     assert outcome.error is None
     assert outcome.state is state
-    assert outcome.init_count == 0
     assert script.count(Purpose.INIT_EXECUTOR) == 0
 
 
@@ -200,7 +199,6 @@ def test_four_to_six_step_plan_triggers_exactly_two_inits():
     )
     outcome = update_workflow(rt, before, wf_grads(1), ["the question"], EM_INFO)
     assert outcome.applied
-    assert outcome.init_count == 2
     assert script.count(Purpose.INIT_EXECUTOR) == 2
     after = outcome.state
     assert len(after.sketch) == 6
@@ -413,8 +411,8 @@ def test_update_all_prompts_only_touches_live_executors():
         {"updates": {"step_1": "better", "missing": "ignored", "step_2": "step-2 prompt"}})})
     rt = make_runtime(script)
     state = chain_state(2)
-    new_state, applied = update_all_prompts(rt, state, step_grads(1, 2), num_samples=2)
-    assert applied
+    new_state = update_all_prompts(rt, state, step_grads(1, 2), num_samples=2)
+    assert new_state is not state
     assert new_state.executors["step_1"].prompt == "better"
     assert new_state.executors["step_1"].version == 1
     # unchanged text leaves version alone
