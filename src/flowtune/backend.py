@@ -399,6 +399,8 @@ _ILLEGAL_HEADER_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])")
 # `http.client`'s limits on a response: bytes in a line, and header lines.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# A body is read 1 MiB at a time, so a size it does not honour ends at EOF.
+_MAX_READ = 1 << 20
 _BLANK_LINES = (b"\r\n", b"\n", b"")
 
 
@@ -449,10 +451,14 @@ def _read_line(reader, what: str) -> bytes:
 
 
 def _read_exactly(reader, n: int) -> bytes:
-    data = reader.read(n)
-    if len(data) < n:
-        raise http.client.IncompleteRead(data, n - len(data))
-    return data
+    pieces = []
+    while n:
+        piece = reader.read(min(n, _MAX_READ))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), n)
+        pieces.append(piece)
+        n -= len(piece)
+    return b"".join(pieces)
 
 
 def _read_response(reader) -> tuple[int, bytes, bool]:
@@ -460,7 +466,7 @@ def _read_response(reader) -> tuple[int, bytes, bool]:
     body, chunked, by `Content-Length` or up to the close; and whether the
     connection stays open, which it does unless the reply is HTTP/1.0, says
     `Connection: close` or ends with the close. Input `http.client` would
-    refuse raises its exception."""
+    refuse raises its exception, and so do differing `Content-Length`s."""
     status = 100
     while status < 200:
         line = _read_line(reader, "status line")
@@ -479,7 +485,10 @@ def _read_response(reader) -> tuple[int, bytes, bool]:
             if line in _BLANK_LINES:
                 break
             name, _, value = line.partition(b":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length" and headers.get(name, value) != value:
+                raise http.client.HTTPException("differing Content-Length values")
+            headers[name] = value
         else:
             raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
     keep_alive = (version != b"HTTP/1.0"
@@ -502,7 +511,9 @@ def _read_chunked(reader) -> bytes:
         try:
             size = int(line.partition(b";")[0], 16)
         except ValueError:
-            raise http.client.IncompleteRead(b"".join(chunks)) from None
+            size = -1
+        if size < 0:
+            raise http.client.IncompleteRead(b"".join(chunks))
         if not size:
             break
         chunks.append(_read_exactly(reader, size))

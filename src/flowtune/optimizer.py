@@ -236,9 +236,7 @@ def _decide(rt: Runtime, state: WorkflowState, template: str, values: dict[str, 
     except PlanFormatError as e:
         logger.warning("workflow update skipped: %s", e)
         return UpdateOutcome(state=state, applied=False, error=f"plan_format: {e}")
-    if plan is None:
-        return UpdateOutcome(state=state, applied=False)
-    return plan
+    return UpdateOutcome(state=state, applied=False) if plan is None else plan
 
 
 def _rejection(rt: Runtime, state: WorkflowState,
@@ -342,8 +340,7 @@ def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
         return None
     if not updated:
         logger.warning("prompt update skipped for %s: empty prompt", executor.name)
-        return None
-    return updated
+    return updated or None
 
 
 def update_workflow_combined(rt: Runtime, state: WorkflowState,

@@ -165,6 +165,18 @@ class Usage(dict):
     """An outcome: reply 200 with this "usage" object in place of the word counts."""
 
 
+class Raw(bytes):
+    """An outcome: send these bytes as the whole reply, then close."""
+
+
+_CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+NEGATIVE_CHUNK = Raw(_CHUNKED_HEAD + b"-5\r\nhello\r\n0\r\n\r\n")
+OVERFLOWING_CHUNK = Raw(_CHUNKED_HEAD + b"ffffffffffffffffff\r\nhello\r\n0\r\n\r\n")
+HUGE_CHUNK = Raw(_CHUNKED_HEAD + b"ffffffffffff\r\nhello\r\n0\r\n\r\n")
+HUGE_LENGTH = Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\nhello")
+DIFFERING_LENGTHS = Raw(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello")
+
+
 def words(text: str) -> int:
     return len(text.split())
 
@@ -226,6 +238,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         outcome = self._log(body)
+        if isinstance(outcome, Raw):
+            self.wfile.write(outcome)
+            self.close_connection = True
+            return
         if outcome is DROP:
             self.close_connection = True
             return

@@ -1,5 +1,7 @@
 import base64
 import hashlib
+import http.client
+import io
 import json
 import re
 import socket
@@ -7,6 +9,7 @@ import sys
 import threading
 import urllib.request
 from decimal import Decimal
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +33,7 @@ from flowtune.backend import (
     ScriptedMockBackend,
     TransportError,
     _environment_proxy,
+    _read_response,
     can_wait,
     echo_script,
     extract_json,
@@ -43,11 +47,16 @@ from .helpers import (
     BROKEN,
     CHUNKED,
     CLOSE,
+    DIFFERING_LENGTHS,
     DROP,
     EARLY_HINTS,
     HANGUP,
     HTTP_1_0,
+    HUGE_CHUNK,
+    HUGE_LENGTH,
     LONG_HEADER,
+    NEGATIVE_CHUNK,
+    OVERFLOWING_CHUNK,
     REFUSAL,
     SLOW,
     UNTIL_CLOSE,
@@ -722,6 +731,120 @@ def test_http_reads_each_framing_and_reuses_only_a_kept_connection(stub, connect
     assert backend.complete(req("one")).content == "stubbed reply text"
     assert backend.complete(req("two")).content == "stubbed reply text"
     assert (len(stub.requests), stub.connections) == (2, connections)
+
+
+@pytest.mark.parametrize("outcome", [NEGATIVE_CHUNK, OVERFLOWING_CHUNK, HUGE_CHUNK, HUGE_LENGTH],
+                         ids=["negative-chunk", "overflowing-chunk", "huge-chunk", "huge-length"])
+def test_http_size_the_body_does_not_honour_is_a_failure_to_receive(stub, connect, outcome):
+    stub.script = [outcome, outcome]
+    with pytest.raises(TransportError, match="after 2 attempts: IncompleteRead"):
+        connect(max_attempts=2).complete(req("ping"))
+    assert (len(stub.requests), stub.connections) == (2, 2)
+
+
+def test_http_differing_content_lengths_are_retried_on_a_new_connection(stub, connect):
+    stub.script = [DIFFERING_LENGTHS]
+    assert connect(max_attempts=2).complete(req("ping")).content == "stubbed reply text"
+    assert (len(stub.requests), stub.connections) == (2, 2)
+    with pytest.raises(http.client.HTTPException, match="differing Content-Length"):
+        _read_response(io.BufferedReader(io.BytesIO(DIFFERING_LENGTHS)))
+    equal = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"
+    assert _read_response(io.BufferedReader(io.BytesIO(equal))) == (200, b"hello", True)
+
+
+class Reply(NamedTuple):
+    """A reply from a small grammar of framings, cut short at `cut`."""
+
+    interim: tuple[int, ...]  # 1xx statuses sent before the final one
+    version: bytes
+    status: int
+    lengths: tuple[int, ...]  # Content-Length values
+    chunks: tuple[tuple[int, bytes], ...] | None  # (declared size, data); None: not chunked
+    close: bool
+    body: bytes
+    cut: int | None = None
+
+    def encode(self) -> bytes:
+        data = b"".join(b"HTTP/1.1 %d Interim\r\nLink: </a>\r\n\r\n" % s for s in self.interim)
+        data += b"%s %d Final\r\n" % (self.version, self.status)
+        data += b"".join(b"Content-Length: %d\r\n" % n for n in self.lengths)
+        if self.chunks is not None:
+            data += b"Transfer-Encoding: chunked\r\n"
+        if self.close:
+            data += b"Connection: close\r\n"
+        data += b"\r\n"
+        if self.chunks is None:
+            data += self.body
+        else:
+            data += b"".join(b"%x\r\n%s\r\n" % chunk for chunk in self.chunks)
+            data += b"0\r\n" + self.body + b"\r\n"  # the body is a trailer here
+        return data[:self.cut]
+
+
+sizes = st.integers(-1, 12) | st.sampled_from([2**20 + 1, 2**48, 2**70])
+
+
+def honest_or_any(n: int):
+    """n twice as often as any other size."""
+    return st.one_of(st.just(n), st.just(n), sizes)
+
+
+@st.composite
+def replies(draw) -> Reply:
+    body = draw(st.binary(max_size=12))
+    chunk = st.binary(max_size=6).flatmap(lambda data: st.tuples(honest_or_any(len(data)),
+                                                                 st.just(data)))
+    return Reply(
+        interim=tuple(draw(st.lists(st.sampled_from([100, 100, 103]), max_size=2))),
+        version=draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2"])),
+        status=draw(st.sampled_from([200, 204, 304, 503])),
+        lengths=tuple(draw(st.lists(honest_or_any(len(body)), max_size=2))),
+        chunks=draw(st.none() | st.lists(chunk, max_size=3).map(tuple)),
+        close=draw(st.booleans()),
+        body=body,
+        cut=draw(st.none() | st.integers(0, 200)),
+    )
+
+
+class _Socket:
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BufferedReader(io.BytesIO(self.data))
+
+
+def http_client_read(data: bytes):
+    """(status, body) as `http.client` reads data, or None where it raises."""
+    response = http.client.HTTPResponse(_Socket(data))
+    try:
+        response.begin()
+        return response.status, response.read()
+    except Exception:  # noqa: BLE001 - any refusal means no body to compare
+        return None
+
+
+# The pinned divergences from http.client: a 1xx other than 100 is skipped,
+# HTTP/2 is read, and differing Content-Lengths are refused.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reply=replies())
+@example(reply=Reply((103,), b"HTTP/1.1", 200, (5,), None, False, b"hello"))
+@example(reply=Reply((), b"HTTP/2", 200, (5,), None, False, b"hello"))
+@example(reply=Reply((), b"HTTP/1.1", 200, (5, 3), None, False, b"hello"))
+@example(reply=Reply((), b"HTTP/1.1", 200, (), ((2**70, b"hello"),), False, b""))
+def test_read_response_fails_only_to_receive_and_reads_what_http_client_reads(reply):
+    data = reply.encode()
+    try:
+        status, body, _ = _read_response(io.BufferedReader(io.BytesIO(data)))
+        ours = status, body
+    except (OSError, http.client.HTTPException):
+        ours = None
+    # http.client allocates a declared size whole, so it reads only small ones.
+    small = all(n <= 2**20 for n in reply.lengths + tuple(n for n, _ in reply.chunks or ()))
+    if set(reply.interim) <= {100} and len(set(reply.lengths)) <= 1 and small:
+        expected = http_client_read(data)
+        if expected is not None:
+            assert ours == expected
 
 
 def test_http_header_line_over_the_limit_is_retried_as_a_failure_to_receive(stub, connect):

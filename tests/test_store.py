@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtune.model import SchemaVersionMismatch, serialize_state
+from flowtune.model import ExecutionTrace, SchemaVersionMismatch, serialize_state
 from flowtune.store import (
     LedgerRow,
     LogicalClock,
@@ -363,6 +363,7 @@ def test_run_directory_layout(tmp_path):
 # bytes, so the write fails with EFBIG after its first bytes, as on a full disk.
 FAILING_WRITE = """
 import resource, sys
+from flowtune.model import ExecutionTrace
 from flowtune.store import RunDirectory, load_checkpoint
 limit, op, root = sys.argv[1:]
 run_dir = RunDirectory(root)
@@ -374,6 +375,8 @@ try:
         run_dir.write_batch_checkpoint(later, 0)
     elif op == "best":
         run_dir.promote_best(1)
+    elif op == "trace":
+        run_dir.write_trace(0, ExecutionTrace("s1", (), "y" * 200))
     else:
         run_dir.write_config({"note": "x" * 200})
 except OSError:
@@ -382,7 +385,7 @@ sys.exit("the write did not fail")
 """
 
 
-@pytest.mark.parametrize("op", ["checkpoint", "best", "config"])
+@pytest.mark.parametrize("op", ["checkpoint", "best", "config", "trace"])
 def test_a_write_that_fails_midway_leaves_the_previous_file(tmp_path, op):
     pytest.importorskip("resource")
     run_dir = RunDirectory(tmp_path / "run")
@@ -390,6 +393,7 @@ def test_a_write_that_fails_midway_leaves_the_previous_file(tmp_path, op):
     run_dir.write_batch_checkpoint(chain_state(3), 1)
     run_dir.promote_best(0)
     run_dir.write_config({"note": "first"})
+    run_dir.write_trace(0, ExecutionTrace("s1", (), "first output"))
     before = {p: p.read_bytes() for p in run_dir.root.rglob("*") if p.is_file()}
     limit = 16
     assert min(len(data) for data in before.values()) > limit
