@@ -313,8 +313,8 @@ def update_prompt(rt: Runtime, state: WorkflowState, executor: ExecutorSpec,
                   gradients: list[TextualGradient], num_samples: int, *,
                   sketch: str | None = None) -> str | None:
     """One TGD step for one executor: the updated prompt, or None when the
-    meta reply could not be parsed; the caller keeps the old prompt then. `sketch` is
-    `render_workflow_sketch(state)`, when the caller has it already."""
+    meta reply could not be parsed, and the caller keeps the old prompt.
+    `sketch` is `render_workflow_sketch(state)`, when the caller has it."""
     if not gradients:
         raise ValueError("gradient batch must be nonempty")
     if num_samples < 1:

@@ -820,7 +820,7 @@ def http_client_read(data: bytes):
     try:
         response.begin()
         return response.status, response.read()
-    except Exception:  # noqa: BLE001 - any refusal means no body to compare
+    except (OSError, http.client.HTTPException, ValueError):
         return None
 
 
