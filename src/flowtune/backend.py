@@ -402,6 +402,8 @@ _MAX_HEADERS = 100
 # A body is read 1 MiB at a time, so a size it does not honour ends at EOF.
 _MAX_READ = 1 << 20
 _BLANK_LINES = (b"\r\n", b"\n", b"")
+# The framing headers a reply may repeat only with one value.
+_SINGLE_HEADERS = {b"content-length": "Content-Length", b"transfer-encoding": "Transfer-Encoding"}
 
 
 def _is_header_value(value: str) -> bool:
@@ -466,7 +468,9 @@ def _read_response(reader) -> tuple[int, bytes, bool]:
     body, chunked, by `Content-Length` or up to the close; and whether the
     connection stays open, which it does unless the reply is HTTP/1.0, says
     `Connection: close` or ends with the close. Input `http.client` would
-    refuse raises its exception, and so do differing `Content-Length`s."""
+    refuse raises its exception, and so do differing `Content-Length`s or
+    `Transfer-Encoding`s, which `http.client` would read by the first and
+    this reader by the last."""
     status = 100
     while status < 200:
         line = _read_line(reader, "status line")
@@ -486,8 +490,8 @@ def _read_response(reader) -> tuple[int, bytes, bool]:
                 break
             name, _, value = line.partition(b":")
             name, value = name.strip().lower(), value.strip()
-            if name == b"content-length" and headers.get(name, value) != value:
-                raise http.client.HTTPException("differing Content-Length values")
+            if name in _SINGLE_HEADERS and headers.get(name, value) != value:
+                raise http.client.HTTPException(f"differing {_SINGLE_HEADERS[name]} values")
             headers[name] = value
         else:
             raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")

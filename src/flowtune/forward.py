@@ -58,7 +58,8 @@ def run_workflow(rt: Runtime, state: WorkflowState, sample) -> ExecutionTrace:
 
     Backend failures do not raise: the step that failed is recorded with an
     error flag, the trace is returned partial, and its `error` field names
-    the failing step so gradient attribution can still run.
+    the failing step. Evaluation scores such a trace 0; training asks no
+    gradient for it and forwards the sample again at the next step.
     """
     require_valid(state, rt.tools.names())
     sketch = state.sketch

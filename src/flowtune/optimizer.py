@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
-from .backend import JsonRetryExhausted, Purpose
+from .backend import JsonRetryExhausted, Purpose, TransportError
 from .evaluation import Sample
 from .gradients import (
     GradientUnavailable,
@@ -156,7 +157,7 @@ def sanitize_executor_name(name: str) -> str:
     return cleaned or "Executor"
 
 
-def uniquify_name(name: str, taken: set[str]) -> str:
+def uniquify_name(name: str, taken: Collection[str]) -> str:
     if name not in taken:
         return name
     suffix = 2
@@ -170,13 +171,13 @@ def uniquify_name(name: str, taken: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
-                  taken_names: set[str]) -> ExecutorSpec:
+                  taken_names: Collection[str] = ()) -> ExecutorSpec:
     """Generate the initial prompt for a new step's executor. The plan parser
     has checked that the step is new and has a generation guideline.
 
     The plan decides the executor kind (tools present or not); the generated
     spec supplies name, description, and prompt. Names are sanitized and
-    uniquified against the registry.
+    uniquified against `taken_names`.
     """
     try:
         obj = rt.meta_json("init_executor", {
@@ -291,21 +292,34 @@ def update_workflow(rt: Runtime, state: WorkflowState,
     if rejection is not None:
         return rejection
 
+    # Each initialization depends on its own step alone, so they run as one
+    # fan-out, and every one is made, so the same calls are billed however
+    # the fan-out ran. Then the first failure in plan order aborts the plan,
+    # or halts the run when the backend could not serve it.
+    def init(view: Runtime, step: PlanStep) -> ExecutorSpec | Exception:
+        try:
+            return init_executor(view, step, sample_questions)
+        except (InitFailed, TransportError) as e:
+            return e
+
+    inits = iter(rt.fan_out(init, [step for step in plan if step.executor_type == NEW]))
     # The applied state is valid by construction: each new executor has a
-    # sanitized, unique name and its stand-in's kind and tools, and InitFailed
-    # rules out an empty prompt.
+    # sanitized name, made unique here in plan order, and its stand-in's kind
+    # and tools, and InitFailed rules out an empty prompt.
     new_executors: list[ExecutorSpec | None] = []
     taken = set(state.executors)
-    try:
-        for step in plan:
-            spec = None
-            if step.executor_type == NEW:
-                spec = init_executor(rt, step, sample_questions, taken)
-                taken.add(spec.name)
-            new_executors.append(spec)
-    except InitFailed as e:
-        logger.warning("plan aborted: %s", e)
-        return UpdateOutcome(state=state, applied=False, error=f"InitFailed: {e}")
+    for step in plan:
+        spec = None
+        if step.executor_type == NEW:
+            spec = next(inits)
+            if isinstance(spec, TransportError):
+                raise spec
+            if isinstance(spec, InitFailed):
+                logger.warning("plan aborted: %s", spec)
+                return UpdateOutcome(state=state, applied=False, error=f"InitFailed: {spec}")
+            spec = replace(spec, name=uniquify_name(spec.name, taken))
+            taken.add(spec.name)
+        new_executors.append(spec)
     return UpdateOutcome(state=_candidate(state, plan, new_executors), applied=True)
 
 

@@ -42,6 +42,7 @@ DEFAULT_CONCURRENCY = 8
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")
 
 
 @dataclass
@@ -65,41 +66,57 @@ class Runtime:
         elif self.clock is not self.client.ledger.clock:
             raise ValueError("a runtime reads its ledger's clock, not a clock of its own")
 
-    def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T]) -> list[R]:
-        """`fn(view, item)` for every item; the results in item order.
+    def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T],
+                then: Callable[[Runtime, T, R], S] | None = None) -> list:
+        """`fn(view, item)` for every item, then, with `then` given,
+        `then(view, item, fn's result)`; the last stage's results in item order.
 
         At concurrency 1, for a single item, or when the client's backend
         cannot wait (see `can_wait`), the items run inline, one after the
-        other, with this runtime itself as the view. Otherwise up to
-        `concurrency` items run at once on a persistent thread pool, each
-        against a view of this runtime that buffers its ledger rows and clock
-        readings, and the buffers are committed here in item order, so ledger
-        indices and timestamps come out exactly as inline. When pool items
-        raise, every item that ran is committed first, then the exception of
-        the earliest failing item is raised; items not yet started are
-        dropped. A fan-out on a pool item's view runs inline.
+        other and stage by stage (every `fn` before any `then`), with this
+        runtime itself as the view. Otherwise up to `concurrency` items run
+        at once on a persistent thread pool, each running its stages back to
+        back on one worker. Each stage of an item runs against a view of
+        this runtime that buffers its ledger rows and clock readings, and
+        the buffers are committed here in (stage, item) order, the order of
+        the inline run, so ledger indices and timestamps come out exactly as
+        inline. When pool items raise, every stage that ran is committed
+        first, then the exception of the earliest failing (stage, item) is
+        raised; items not yet started are dropped. A fan-out on a pool
+        item's view runs inline.
         """
         items = list(items)
+        stages = [fn] if then is None else [fn, then]
         if self.concurrency == 1 or len(items) <= 1 or not can_wait(self.client.backend):
-            return [fn(self, item) for item in items]
-        tasks = [_Task(self) for _ in items]
+            results = [fn(self, item) for item in items]
+            if then is not None:
+                results = [then(self, item, r) for item, r in zip(items, results)]
+            return results
+        tasks = [[_Task(self) for _ in stages] for _ in items]
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="flowtune")
-        futures = [self._pool.submit(task.run, fn, item) for task, item in zip(tasks, items)]
-        results, error = [], None
-        for i, (task, future) in enumerate(zip(tasks, futures)):
+        futures = [self._pool.submit(_run_stages, item_tasks, stages, item)
+                   for item_tasks, item in zip(tasks, items)]
+        results, failures = [], []
+        for i, (item_tasks, future) in enumerate(zip(tasks, futures)):
             try:
                 results.append(future.result())
             except CancelledError:
                 pass
             except BaseException as e:
-                if error is None:
-                    error = e
+                if not failures:
                     for later in futures[i + 1:]:
                         later.cancel()
-            task.commit()
-        if error is not None:
-            raise error
+                # An item's stages run in order, so the last that ran raised.
+                failures.append((sum(t.ran for t in item_tasks) - 1, i, e))
+            if item_tasks[0].ran:  # every stage-0 commit precedes every later one
+                item_tasks[0].commit()
+        for stage in range(1, len(stages)):
+            for item_tasks in tasks:
+                if item_tasks[stage].ran:
+                    item_tasks[stage].commit()
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
         return results
 
     def close(self) -> None:
@@ -137,7 +154,8 @@ class Runtime:
 
 
 class _Task:
-    """One pool item of `Runtime.fan_out`: its runtime view and their buffers."""
+    """One stage of one pool item of `Runtime.fan_out`: its runtime view and
+    their buffers."""
 
     def __init__(self, rt: Runtime):
         self.rt = rt
@@ -152,11 +170,13 @@ class _Task:
         view._pool = None
         self.view = view
         self.deferred: list[Callable[[], None]] = []
+        self.ran = False
 
-    def run(self, fn, item):
+    def run(self, fn, *args):
+        self.ran = True
         token = DEFERRED.set(self.deferred)
         try:
-            return fn(self.view, item)
+            return fn(self.view, *args)
         finally:
             DEFERRED.reset(token)
 
@@ -164,3 +184,11 @@ class _Task:
         self.rt.client.ledger.absorb(self.ledger)
         for action in self.deferred:
             at_commit(action)
+
+
+def _run_stages(tasks: list[_Task], stages: list[Callable], item):
+    """One pool item: each stage on its own task, fed the previous result."""
+    result = tasks[0].run(stages[0], item)
+    for task, stage in zip(tasks[1:], stages[1:]):
+        result = task.run(stage, item, result)
+    return result

@@ -238,40 +238,43 @@ def _run_batch(rt: Runtime, config: TrainConfig, state: WorkflowState, batch: li
 
 class _BatchForwards:
     """The batch's latest forwards, (sample, trace, metric result) each, and
-    the state they ran on. Called with that same state object again, it
+    the state they ran on. Asked again on that same state object, it
     forwards only the samples whose trace ended in a backend failure."""
 
     def __init__(self, rt: Runtime, batch: list[Sample], metric_name: str):
         self.rt, self.batch, self.metric = rt, batch, get_metric(metric_name)
         self.state, self.forwards = None, []
 
-    def __call__(self, state: WorkflowState) -> list:
+    def gradients(self, state: WorkflowState, gradient: Callable, dropped: str) -> list:
+        """`gradient(view, sample, trace, result)` for every sample of the
+        batch forwarded on `state`, as one staged fan-out: each sample's
+        forward, where it is stale, and then its gradient. Samples whose
+        trace ended in a backend failure, or whose gradient is unavailable,
+        are left out."""
         if state is not self.state:
             self.state, self.forwards = state, [None] * len(self.batch)
-        stale = [i for i, f in enumerate(self.forwards) if f is None or f[1].error is not None]
 
         def forward(view: Runtime, i: int):
-            sample = self.batch[i]
-            trace = run_workflow(view, state, sample)
-            return sample, trace, self.metric(trace.final_output, sample.answer)
+            cached = self.forwards[i]
+            if cached is None or cached[1].error is not None:
+                sample = self.batch[i]
+                trace = run_workflow(view, state, sample)
+                self.forwards[i] = sample, trace, self.metric(trace.final_output, sample.answer)
+            return self.forwards[i]
 
-        for i, fresh in zip(stale, self.rt.fan_out(forward, stale)):
-            self.forwards[i] = fresh
-        return self.forwards
+        def one(view: Runtime, i: int, forwarded):
+            sample, trace, _ = forwarded
+            if trace.error is not None:
+                logger.warning("%s: sample %r ended in %s", dropped, sample.id, trace.error)
+                return None
+            try:
+                return gradient(view, *forwarded)
+            except GradientUnavailable as e:
+                logger.warning("%s: %s", dropped, e)
+                return None
 
-
-def _per_sample(rt: Runtime, forwards, gradient: Callable, dropped: str) -> list:
-    """`gradient(view, sample, trace, result)` for every forwarded sample, as
-    one fan-out; samples whose gradient is unavailable are left out."""
-
-    def one(view: Runtime, forward):
-        try:
-            return gradient(view, *forward)
-        except GradientUnavailable as e:
-            logger.warning("%s: %s", dropped, e)
-            return None
-
-    return [g for g in rt.fan_out(one, forwards) if g is not None]
+        return [g for g in self.rt.fan_out(forward, range(len(self.batch)), then=one)
+                if g is not None]
 
 
 def _structure_step(rt: Runtime, state: WorkflowState, forwards: _BatchForwards,
@@ -279,8 +282,8 @@ def _structure_step(rt: Runtime, state: WorkflowState, forwards: _BatchForwards,
                     update: Callable) -> tuple[WorkflowState, int]:
     """One sketch edit: `gradient` per forwarded sample, then `update(state,
     gradients)` on the batch. `sketch_revision` moves only when it applies."""
-    gradients = _per_sample(
-        rt, forwards(state),
+    gradients = forwards.gradients(
+        state,
         lambda view, sample, trace, result:
             gradient(view, state, trace, sample, result, metrics_info),
         "structure gradient skipped")
@@ -296,8 +299,8 @@ def _inner_phase(rt: Runtime, config: TrainConfig, state: WorkflowState,
                  forwards: _BatchForwards, metrics_info: str) -> WorkflowState:
     mode = ALL_AT_ONCE if config.mode == MODE_NO_LAYERWISE else "layerwise"
     for _ in range(config.inner_steps_per_round):
-        per_sample_gradients: list[dict[int, TextualGradient]] = _per_sample(
-            rt, forwards(state),
+        per_sample_gradients: list[dict[int, TextualGradient]] = forwards.gradients(
+            state,
             lambda view, sample, trace, result:
                 backward(view, state, trace, sample, result, metrics_info, mode=mode),
             "sample dropped from inner step")

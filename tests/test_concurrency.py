@@ -32,6 +32,7 @@ from flowtune.store import LogicalClock, Price, PriceTable, RunDirectory, RunLed
 from flowtune.trainer import (
     MODE_FULL,
     MODE_NO_BILEVEL,
+    MODE_PROMPT_ONLY,
     MODES,
     TrainConfig,
     evaluate,
@@ -188,6 +189,29 @@ def test_inline_fan_outs_run_in_place_with_the_artifacts_of_the_pool(tmp_path, m
     for name in ("ledger.jsonl", "records.jsonl", "best.json"):
         assert (recorded / name).read_bytes() == pooled[name]
         assert (replayed / name).read_bytes() == pooled[name]
+
+
+def test_a_samples_gradients_start_while_another_sample_is_still_forwarded(tmp_path):
+    held_question = make_batches(dataset(6, "t"), TrainConfig(batch_size=3, seed=5))[0][0].question
+    gradient_started, lock, held, waited = threading.Event(), threading.Lock(), [], []
+
+    def script(request):
+        """Hold the first sample's first forward until a loss gradient is asked for."""
+        if request.purpose == Purpose.GRAD_LOSS:
+            gradient_started.set()
+        elif request.purpose == Purpose.FORWARD:
+            question, previous = parse_envelope(user_content(request))
+            with lock:
+                hold = question == held_question and not previous and not held
+                held.append(hold)
+            if hold:
+                waited.append(gradient_started.wait(timeout=2))
+        return pure_script(request)
+
+    pooled = files(run(ScriptedMockBackend(script), tmp_path / "c8", 8, MODE_PROMPT_ONLY))
+    assert waited == [True]
+    assert pooled == files(run(ScriptedMockBackend(pure_script), tmp_path / "c1", 1,
+                               MODE_PROMPT_ONLY))
 
 
 def test_record_store_rows_follow_serial_order(tmp_path):
@@ -350,6 +374,65 @@ def test_failure_is_raised_after_every_completed_call_commits():
     # Items 0-3 ran; later ones may have. Every call made is in the ledger.
     assert rt.client.ledger.call_count == len(issued) >= 4
     assert [r.idx for r in rt.client.ledger.rows] == list(range(len(issued)))
+
+
+def words(n: int) -> str:
+    return " ".join(["w"] * n)  # with "system", n + 1 input tokens tell the calls apart
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_a_staged_fan_out_commits_in_stage_then_item_order(concurrency, fast_switching):
+    def script(request):
+        n = len(user_content(request).split())
+        time.sleep(0.001 * (n % 7))  # items finish their stages out of order
+        return str(n)
+
+    rt = runtime(script, concurrency=concurrency)
+
+    def forward(view, n):
+        return ask(view, words(n)).content
+
+    def backward(view, n, first):
+        view.clock.now()
+        return first + "/" + ask(view, words(20 + n)).content
+
+    assert rt.fan_out(forward, range(5), then=backward) == [f"{n}/{20 + n}" for n in range(5)]
+    rows = rt.client.ledger.rows
+    assert [r.in_tok for r in rows] == [n + 1 for n in range(5)] + [21 + n for n in range(5)]
+    # Stage 1 read the clock once before each call: ticks 1-5, then 7, 9, ...
+    assert [(r.idx, r.ts) for r in rows] == [(i, i + 1) for i in range(5)] + [
+        (5 + n, 7 + 2 * n) for n in range(5)]
+
+
+def test_a_staged_fan_out_raises_the_earliest_failing_stage_and_item(fast_switching):
+    def script(request):
+        n = len(user_content(request).split())
+        time.sleep(0.002 if n == 2 else 0)  # item 2's first stage ends last
+        return "ok"
+
+    rt = runtime(script)
+    all_started = threading.Barrier(5)
+
+    def forward(view, n):
+        all_started.wait(timeout=5)  # so that no item is dropped unstarted
+        ask(view, words(n))
+        if n == 2:
+            raise KeyError("stage 0", n)
+        return n
+
+    def backward(view, n, first):
+        ask(view, words(20 + n))
+        if n == 1:
+            raise KeyError("stage 1", n)
+        return first
+
+    with pytest.raises(KeyError) as e:
+        rt.fan_out(forward, range(5), then=backward)
+    # Item 1's second stage failed first, but (0, 2) precedes (1, 1).
+    assert e.value.args == ("stage 0", 2)
+    # Every item started; item 2 made no second call.
+    assert [r.in_tok for r in rt.client.ledger.rows] == [1, 2, 3, 4, 5, 21, 22, 24, 25]
+    assert [r.idx for r in rt.client.ledger.rows] == list(range(9))
 
 
 def test_concurrency_one_runs_inline_and_stops_at_the_failure():

@@ -331,6 +331,42 @@ def test_init_failure_aborts_plan_atomically():
     assert serialize_state(outcome.state) == before_bytes
 
 
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_every_init_is_made_before_the_first_failure_aborts_the_plan(concurrency):
+    def init(request):
+        if "new step 1" in request.messages[1].content:  # repairs included
+            return "never json"
+        return init_reply("Second")
+
+    script = PurposeScript({
+        Purpose.OPTIM_WORKFLOW: lambda r: plan_reply([new_step(1, "a"), new_step(2, "b")]),
+        Purpose.INIT_EXECUTOR: init,
+    })
+    rt = make_runtime(script)
+    rt.concurrency = concurrency
+    state = chain_state(1)
+    outcome = update_workflow(rt, state, wf_grads(1), ["q"], EM_INFO)
+    assert outcome.error.startswith("InitFailed: initialization failed for step 1")
+    assert outcome.state is state
+    # The second init is billed too: one optimizer call, four attempts, one init.
+    assert [(r.idx, r.purpose, r.ts) for r in rt.client.ledger.rows] == [
+        (0, "OptimWorkflow", 1)] + [(i, "InitExecutor", i + 1) for i in range(1, 6)]
+    second = [r for r in script.calls if "new step 2" in r.messages[1].content]
+    assert len(second) == 1
+
+
+def test_inits_fan_out_and_names_are_made_unique_in_plan_order():
+    script = PurposeScript({
+        Purpose.OPTIM_WORKFLOW: lambda r: plan_reply(
+            [new_step(1, "a"), new_step(2, "b"), reuse_step(3, "step_1")]),
+        Purpose.INIT_EXECUTOR: lambda r: init_reply("step 1"),
+    })
+    rt = make_runtime(script)
+    outcome = update_workflow(rt, chain_state(1), wf_grads(1), ["q"], EM_INFO)
+    assert outcome.applied
+    assert [s.executor_name for s in outcome.state.sketch] == ["step_1_2", "step_1_3", "step_1"]
+
+
 def test_update_workflow_renders_gradients_and_agents():
     script = PurposeScript({Purpose.OPTIM_WORKFLOW: lambda r: plan_reply([], False)})
     rt = make_runtime(script)

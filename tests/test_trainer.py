@@ -185,13 +185,45 @@ def test_a_sample_whose_forward_failed_is_forwarded_again_alone():
     config = TrainConfig(bilevel_rounds_per_batch=1, inner_steps_per_round=1, seed=None)
     train(rt, config, samples(5), samples(1, "v"), chain_state(2), "exact_match")
     assert len(failed) == 1  # at step 2 of the outer step's forward
+    # The inner step's forwards and gradients overlap, so its training
+    # forwards are picked out of the calls between the edit and the updates.
     purposes = [r.purpose for r in script.calls]
-    inner = script.calls[purposes.index(Purpose.OPTIM_WORKFLOW) + 1:
-                         purposes.index(Purpose.GRAD_LOSS)]
+    inner = [r for r in script.calls[purposes.index(Purpose.OPTIM_WORKFLOW) + 1:
+                                     purposes.index(Purpose.OPTIM_CALL)]
+             if r.purpose == Purpose.FORWARD]
     assert [(r.purpose, parse_envelope(user_content(r))) for r in inner] == [
         (Purpose.FORWARD, ("question 1", "")),
         (Purpose.FORWARD, ("question 1", "question 1|f")),
     ]
+
+
+def test_a_sample_whose_forward_failed_gets_no_gradient(caplog):
+    def down_for_question_0(request):
+        if parse_envelope(user_content(request))[0] == "question 0":
+            raise TransportError("connection dropped")
+        return forward_handler(request)
+
+    script = PurposeScript({**standard_handlers(), Purpose.FORWARD: down_for_question_0})
+    rt = make_runtime(script)
+    val_set = [Sample("v9", "question 9", "question 9|f|f")]
+    with caplog.at_level(logging.WARNING, logger="flowtune.trainer"):
+        result = train(rt, TrainConfig(seed=None), samples(5), val_set, chain_state(2),
+                       "exact_match")
+    assert result.records[0].val_score == 1.0
+    gradient_requests = [r for r in script.calls
+                         if r.purpose in (Purpose.GRAD_LOSS, Purpose.GRAD_CALL,
+                                          Purpose.GRAD_WORKFLOW)]
+    assert gradient_requests
+    for request in gradient_requests:
+        text = user_content(request)
+        assert "backend_error" not in text and "(trace incomplete" not in text
+    # 2 structure and 10 inner steps, each with sample 0 forwarded again and left out.
+    assert script.count(Purpose.GRAD_WORKFLOW) == 2 * 4
+    assert script.count(Purpose.GRAD_LOSS) == 10 * 4
+    dropped = [r.getMessage() for r in caplog.records if "'s0' ended in" in r.getMessage()]
+    assert len(dropped) == 12
+    assert dropped[-1] == ("sample dropped from inner step: "
+                           "sample 's0' ended in backend failure at step 1")
 
 
 def test_executor_serving_two_steps_gets_gradients_from_both():
