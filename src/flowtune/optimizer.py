@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import re
-from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 from .backend import JsonRetryExhausted, Purpose, TransportError
@@ -157,7 +156,7 @@ def sanitize_executor_name(name: str) -> str:
     return cleaned or "Executor"
 
 
-def uniquify_name(name: str, taken: Collection[str]) -> str:
+def uniquify_name(name: str, taken: set[str]) -> str:
     if name not in taken:
         return name
     suffix = 2
@@ -170,14 +169,13 @@ def uniquify_name(name: str, taken: Collection[str]) -> str:
 # Meta operations
 # ---------------------------------------------------------------------------
 
-def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
-                  taken_names: Collection[str] = ()) -> ExecutorSpec:
+def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str]) -> ExecutorSpec:
     """Generate the initial prompt for a new step's executor. The plan parser
     has checked that the step is new and has a generation guideline.
 
     The plan decides the executor kind (tools present or not); the generated
-    spec supplies name, description, and prompt. Names are sanitized and
-    uniquified against `taken_names`.
+    spec supplies name, description, and prompt. The name is sanitized;
+    `update_workflow` makes it unique.
     """
     try:
         obj = rt.meta_json("init_executor", {
@@ -194,8 +192,7 @@ def init_executor(rt: Runtime, step: PlanStep, sample_questions: list[str],
         raise InitFailed(f"initialization failed for step {step.step_id}: {e}") from e
     if not prompt:
         raise InitFailed(f"initialization for step {step.step_id} produced an empty prompt")
-    return _executor(step, uniquify_name(sanitize_executor_name(raw_name), taken_names),
-                     description, prompt)
+    return _executor(step, sanitize_executor_name(raw_name), description, prompt)
 
 
 def _executor(step: PlanStep, name: str, description: str, prompt: str,

@@ -67,7 +67,7 @@ class Runtime:
             raise ValueError("a runtime reads its ledger's clock, not a clock of its own")
 
     def fan_out(self, fn: Callable[[Runtime, T], R], items: Iterable[T],
-                then: Callable[[Runtime, T, R], S] | None = None) -> list:
+                then: Callable[[Runtime, T, R], S] | None = None) -> list[R | S]:
         """`fn(view, item)` for every item, then, with `then` given,
         `then(view, item, fn's result)`; the last stage's results in item order.
 
@@ -75,9 +75,9 @@ class Runtime:
         cannot wait (see `can_wait`), the items run inline, one after the
         other and stage by stage (every `fn` before any `then`), with this
         runtime itself as the view. Otherwise up to `concurrency` items run
-        at once on a persistent thread pool, each running its stages back to
-        back on one worker. Each stage of an item runs against a view of
-        this runtime that buffers its ledger rows and clock readings, and
+        at once on a persistent thread pool, each running `fn` and `then`
+        back to back on one worker. Each stage of an item runs against a view
+        of this runtime that buffers its ledger rows and clock readings, and
         the buffers are committed here in (stage, item) order, the order of
         the inline run, so ledger indices and timestamps come out exactly as
         inline. When pool items raise, every stage that ran is committed
@@ -86,19 +86,23 @@ class Runtime:
         item's view runs inline.
         """
         items = list(items)
-        stages = [fn] if then is None else [fn, then]
         if self.concurrency == 1 or len(items) <= 1 or not can_wait(self.client.backend):
             results = [fn(self, item) for item in items]
-            if then is not None:
-                results = [then(self, item, r) for item, r in zip(items, results)]
-            return results
-        tasks = [[_Task(self) for _ in stages] for _ in items]
+            if then is None:
+                return results
+            return [then(self, item, r) for item, r in zip(items, results)]
+        firsts = [_Task(self) for _ in items]
+        seconds = [_Task(self) for _ in items] if then is not None else []
+
+        def run(i: int):
+            result = firsts[i].run(fn, items[i])
+            return result if then is None else seconds[i].run(then, items[i], result)
+
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.concurrency, thread_name_prefix="flowtune")
-        futures = [self._pool.submit(_run_stages, item_tasks, stages, item)
-                   for item_tasks, item in zip(tasks, items)]
+        futures = [self._pool.submit(run, i) for i in range(len(items))]
         results, failures = [], []
-        for i, (item_tasks, future) in enumerate(zip(tasks, futures)):
+        for i, future in enumerate(futures):
             try:
                 results.append(future.result())
             except CancelledError:
@@ -107,14 +111,11 @@ class Runtime:
                 if not failures:
                     for later in futures[i + 1:]:
                         later.cancel()
-                # An item's stages run in order, so the last that ran raised.
-                failures.append((sum(t.ran for t in item_tasks) - 1, i, e))
-            if item_tasks[0].ran:  # every stage-0 commit precedes every later one
-                item_tasks[0].commit()
-        for stage in range(1, len(stages)):
-            for item_tasks in tasks:
-                if item_tasks[stage].ran:
-                    item_tasks[stage].commit()
+                # A second stage runs only once its first has returned.
+                failures.append((1 if seconds and seconds[i].ran else 0, i, e))
+            firsts[i].commit()  # a task that never ran commits nothing
+        for task in seconds:
+            task.commit()
         if failures:
             raise min(failures, key=lambda f: f[:2])[2]
         return results
@@ -184,11 +185,3 @@ class _Task:
         self.rt.client.ledger.absorb(self.ledger)
         for action in self.deferred:
             at_commit(action)
-
-
-def _run_stages(tasks: list[_Task], stages: list[Callable], item):
-    """One pool item: each stage on its own task, fed the previous result."""
-    result = tasks[0].run(stages[0], item)
-    for task, stage in zip(tasks[1:], stages[1:]):
-        result = task.run(stage, item, result)
-    return result

@@ -390,7 +390,7 @@ def test_init_executor_kind_follows_plan_tools():
     script = PurposeScript({Purpose.INIT_EXECUTOR: lambda r: init_reply("Searcher", "LLMExecutor")})
     rt = make_runtime(script, tools=registry_with_search())
     step = PlanStep(1, "search step", ("search_topk",), "new", "searcher_v1", "use the tool")
-    spec = init_executor(rt, step, ["q1"], set())
+    spec = init_executor(rt, step, ["q1"])
     # plan tools win even when the generated spec claims LLMExecutor
     assert spec.kind == TOOL_EXECUTOR
     assert spec.tool_names == ("search_topk",)
@@ -404,10 +404,10 @@ def test_init_executor_name_collision_gets_numeric_suffix():
     script = PurposeScript({Purpose.INIT_EXECUTOR: lambda r: init_reply("Verifier")})
     rt = make_runtime(script)
     step = PlanStep(1, "verify", (), "new", "verifier_v1", "guideline")
-    spec = init_executor(rt, step, ["q"], {"Verifier"})
-    assert spec.name == "Verifier_2"
-    spec = init_executor(rt, step, ["q"], {"Verifier", "Verifier_2"})
-    assert spec.name == "Verifier_3"
+    spec = init_executor(rt, step, ["q"])
+    assert spec.name == "Verifier"  # update_workflow makes it unique
+    assert uniquify_name(spec.name, {"Verifier"}) == "Verifier_2"
+    assert uniquify_name(spec.name, {"Verifier", "Verifier_2"}) == "Verifier_3"
 
 
 def test_name_sanitization():
