@@ -367,7 +367,7 @@ class HttpBackend:
                     output_tokens=_token_count(usage.get("completion_tokens", 0)),
                     latency_s=time.monotonic() - start,
                 )
-            except (ValueError, LookupError, TypeError, AttributeError) as e:
+            except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
                 raise TransportError(f"unreadable chat completion response: {e!r}") from e
         raise TransportError(f"chat completion failed after {self.max_attempts} attempts: {last_error}")
 
@@ -612,7 +612,7 @@ class ReplayBackend:
                     req = row["request"]
                     messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
                     identity = _identity(req["model_id"], messages, req["temperature"])
-                except (ValueError, LookupError, TypeError, AttributeError) as e:
+                except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
                     raise ValueError(f"replay store {self.store_path}, line {number}: "
                                      f"unreadable row: {e!r}") from e
                 yield identity, entry
@@ -710,19 +710,20 @@ def extract_json(content: str):
     """Parse the first well-formed fenced ```json block, else the whole body.
 
     One JSON value must fill a block, so backticks inside a JSON string do
-    not end it. Content with neither is a JsonExtractError.
+    not end it. Content with neither is a JsonExtractError. JSON nested past
+    the parser's recursion limit counts as not well-formed.
     """
     for match in _FENCE_OPEN_RE.finditer(content):
         try:
             value, end = _decode_at(content, match.end())
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         if _FENCE_CLOSE_RE.match(content, end):
             return value
     # str.strip also drops the Unicode spaces that json.loads would refuse.
     try:
         return json.loads(content.strip())
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise JsonExtractError("no well-formed JSON in the reply") from None
 
 

@@ -178,7 +178,7 @@ def cmd_curve(run_dir) -> None:
                     row = json.loads(line.decode("utf-8"))
                     rows.append((row["batch_index"], float(row["val_score"]),
                                  row["api_calls_so_far"], f'{row["cost_so_far_usd"]:.6f}'))
-            except (ValueError, LookupError, TypeError) as e:
+            except (ValueError, LookupError, TypeError, RecursionError) as e:
                 _fail(USAGE_EXIT, f"records {records_path}, line {line_no}: "
                                   f"unreadable row: {e!r}")
     print("batch_index,val_score,best_so_far,calls,cost")

@@ -221,8 +221,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     base = path.parent.resolve()

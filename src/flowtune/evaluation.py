@@ -130,7 +130,7 @@ def load_dataset(path: str | Path) -> list[Sample]:
                 if not line:
                     continue
                 row = json.loads(line)
-            except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+            except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
                 raise DatasetParseError(path, line_no, f"unreadable row: {e!r}") from e
             if type(row) is not dict:
                 raise DatasetParseError(path, line_no, "row is not a JSON object")

@@ -416,7 +416,13 @@ def state_from_json_obj(obj: dict) -> WorkflowState:
 
 
 def deserialize_state(text: str) -> WorkflowState:
-    return state_from_json_obj(json.loads(text))
+    """The state in `text`; text that is not JSON, or is nested past the
+    parser's recursion limit, is a ValueError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError as e:
+        raise ValueError(f"unreadable workflow state: {e!r}") from e
+    return state_from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------

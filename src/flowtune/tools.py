@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter, truediv
@@ -88,7 +89,7 @@ def load_corpus(path: str | Path) -> list[CorpusDoc]:
                 row = json.loads(line)
                 doc = CorpusDoc(doc_id=str(row["doc_id"]), title=str(row["title"]),
                                 body=str(row["body"]))
-            except (ValueError, LookupError, TypeError) as e:
+            except (ValueError, LookupError, TypeError, RecursionError) as e:
                 raise ValueError(f"corpus {path}, line {line_no}: unreadable row: {e!r}") from e
             if doc.doc_id in seen:
                 raise DuplicateDocId(f"corpus {path}, line {line_no}: "
@@ -107,9 +108,9 @@ class CorpusIndex:
 
     The index is inverted: each term maps to its postings, the indices of
     the documents that contain it and the term's count in each. A query
-    scores only the union of its terms' postings, adding the terms in query
-    order so that every score is the same float a scan of the whole corpus
-    computes. Documents are held in doc-id order, so an index comparison is
+    scores at most the union of its terms' postings, adding the terms in
+    query order so that every score is the same float a scan of the whole
+    corpus computes. Documents are held in doc-id order, so an index comparison is
     the doc-id tie-break, and the file order of the corpus cannot change a
     ranking. The index is read-only once built, so threads may share it.
     """
@@ -148,34 +149,98 @@ class CorpusIndex:
             idf[term] = math.log(1.0 + n / len(counts))
         self._postings = postings
         self._lengths = lengths
+        self._min_length = min(lengths, default=1)
         self._idf = idf
 
     def search_topk(self, query: str, k: int) -> list[SearchHit]:
+        """The k best documents for `query`, best first.
+
+        The query's term with the longest posting, L, is often in thousands
+        of documents that rank nowhere. So the candidates, the documents of
+        the other terms' postings, are scored first, each with its count of
+        L. If the k-th of them scores above any document holding L alone
+        can, they are the top k; otherwise every posting is walked.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         if not self._ids:
             raise EmptyCorpusError("corpus is empty")
+        terms = [term for term in tokenize(query) if term in self._postings]
+        if not terms:
+            return []
+        longest = max(terms, key=lambda term: len(self._postings[term][0]))
+        top = self._candidates_top(terms, longest, k)
+        if top is None:
+            top = self._top(self._sums(terms), k)[1]
+        return [SearchHit(doc_id=self._ids[i], title=self._titles[i],
+                          snippet=self._bodies[i][:SNIPPET_CHARS], score=-neg)
+                for neg, i in top]
+
+    def _sums(self, terms: list[str], longest: str | None = None,
+              counts: dict[int, int] | None = None) -> dict[int, float]:
+        """document index -> the sum of tf * idf over `terms`, added in query
+        order, so that each sum is the same float a scan of the whole corpus
+        computes. The term `longest`, if given, adds only for the documents
+        in `counts`, its count in each."""
         partial: dict[int, float] = {}
         get = partial.get
-        for term in tokenize(query):
-            posting = self._postings.get(term)
-            if posting is None:
-                continue
+        for term in terms:
             idf = self._idf[term]
-            for i, tf in zip(*posting):
+            pairs = counts.items() if term == longest else zip(*self._postings[term])
+            for i, tf in pairs:
                 partial[i] = get(i, 0.0) + tf * idf
-        if not partial:
-            return []
+        return partial
+
+    def _top(self, partial: dict[int, float], k: int) -> tuple[float, list[tuple[float, int]]]:
+        """The k-th best score and the k best (-score, index) pairs."""
         # Every matched score is > 0 (tf >= 1, idf >= log 2). The scores are
         # one list of floats, which the garbage collector does not track; the
         # k-th best of them is the cut, and only the documents at or above it
         # become (-score, index) pairs, so ties at the cut still rank by index.
         scores = list(map(truediv, partial.values(), map(self._lengths.__getitem__, partial)))
         cut = heapq.nlargest(k, scores)[-1]
-        top = sorted([(-s, i) for i, s in zip(partial, scores) if s >= cut])[:k]
-        return [SearchHit(doc_id=self._ids[i], title=self._titles[i],
-                          snippet=self._bodies[i][:SNIPPET_CHARS], score=-neg)
-                for neg, i in top]
+        return cut, sorted([(-s, i) for i, s in zip(partial, scores) if s >= cut])[:k]
+
+    def _candidates_top(self, terms: list[str], longest: str,
+                        k: int) -> list[tuple[float, int]] | None:
+        """The top k among the documents of the postings of the terms other
+        than `longest`, or None if a document holding `longest` alone might
+        rank among them.
+
+        Such a document scores at most `bound`: m adds of max_tf * idf from
+        0.0, over the shortest length, for m occurrences of `longest` in the
+        query. Rounding is monotone, so the floats keep that order and the
+        bound is exact. It must be beaten strictly: on a tie, a document
+        holding `longest` alone ranks first if its index is lower.
+        """
+        ids, tfs = self._postings[longest]
+        candidates: set[int] = set()
+        for term in set(terms) - {longest}:
+            candidates.update(self._postings[term][0])
+        if len(candidates) < k:
+            return None
+        counts: dict[int, int] = {}
+        for i in candidates:
+            j = bisect_left(ids, i)
+            if j < len(ids) and ids[j] == i:
+                counts[i] = tfs[j]
+        cut, top = self._top(self._sums(terms, longest, counts), k)
+        m = terms.count(longest)
+        idf = self._idf[longest]
+        # tf = 1 first: where even that bound is not beaten, max(tfs), a
+        # pass over the whole posting, is not needed.
+        if cut > _copies(idf, m) / self._min_length and \
+                cut > _copies(max(tfs) * idf, m) / self._min_length:
+            return top
+        return None
+
+
+def _copies(x: float, m: int) -> float:
+    """`x` added m times from 0.0, as a search adds a repeated term."""
+    total = 0.0
+    for _ in range(m):
+        total += x
+    return total
 
 
 def render_hits(hits: list[SearchHit]) -> str:

@@ -12,6 +12,8 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+import pytest
+
 from flowtune.backend import (
     Budget,
     ChatClient,
@@ -37,6 +39,15 @@ from flowtune.tools import ToolRegistry
 
 def fenced(obj) -> str:
     return f"```json\n{json.dumps(obj)}\n```"
+
+
+# Well-formed JSON nested deeper than `json` can read, whatever the recursion
+# limit: a reader of outside bytes must refuse it in its documented way, not
+# with a RecursionError.
+nested_too_deep = pytest.mark.parametrize("deep", [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="array"),
+    pytest.param('{"a": ' * 100_000 + "1" + "}" * 100_000, id="object"),
+])
 
 
 class PurposeScript:

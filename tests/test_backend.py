@@ -62,8 +62,10 @@ from .helpers import (
     UNTIL_CLOSE,
     Usage,
     chat_stub,
+    Raw,
     clear_proxy_env,
     fenced,
+    nested_too_deep,
 )
 
 
@@ -137,11 +139,24 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(value=json_values)
 @example(value="```")
 def test_extract_inverts_render_fenced(value):
     assert extract_json(render_fenced(value)) == value
+
+
+@nested_too_deep
+def test_json_nested_too_deep_is_not_well_formed_and_a_meta_reply_of_it_is_retried(deep):
+    with pytest.raises(JsonExtractError):
+        extract_json(deep)
+    with pytest.raises(JsonExtractError):
+        extract_json(f"```json\n{deep}\n```")
+    assert extract_json(f"```json\n{deep}\n```\n" + fenced({"ok": 1})) == {"ok": 1}
+    replies = [deep, fenced({"ok": 1})]
+    client, ledger = make_client(lambda request: replies.pop(0))
+    assert client.complete_json(req("go")) == {"ok": 1}
+    assert ledger.call_count == 2
 
 
 def test_a_fence_inside_a_json_string_does_not_end_the_block():
@@ -481,6 +496,16 @@ def test_a_store_rewritten_before_the_first_fallback_fails_naming_it(tmp_path, r
         replayer.complete(req("c"))
 
 
+@nested_too_deep
+def test_a_store_row_nested_too_deep_fails_to_load(tmp_path, deep):
+    store = tmp_path / "store.jsonl"
+    record(store, ["a"])
+    store.write_text(store.read_text() + deep + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"replay store {store}, line 2: "
+                                                   "unreadable row: RecursionError(")):
+        ReplayBackend(store, REPLAY)
+
+
 def test_a_store_row_whose_content_is_not_a_string_fails_to_load(tmp_path):
     store = tmp_path / "store.jsonl"
     record(store, ["a"])
@@ -686,6 +711,15 @@ def test_http_usage_that_is_not_a_whole_count_is_an_unreadable_response(stub, co
     assert len(stub.requests) == 1
 
 
+@nested_too_deep
+def test_http_json_nested_too_deep_is_an_unreadable_response(stub, connect, deep):
+    body = deep.encode()
+    stub.script = [Raw(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))]
+    with pytest.raises(TransportError, match="unreadable.*RecursionError"):
+        connect(max_attempts=3).complete(req("ping"))
+    assert len(stub.requests) == 1
+
+
 def test_http_usage_of_whole_floats_reads_as_ints(stub, connect):
     stub.script = [Usage(prompt_tokens=12.0, completion_tokens=3)]
     response = connect().complete(req("ping"))
@@ -836,7 +870,7 @@ def http_client_read(data: bytes):
 # The pinned divergences from http.client: a 1xx other than 100 is skipped,
 # HTTP/2 is read, and differing Content-Lengths or Transfer-Encodings, which
 # http.client reads by the first, are refused.
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(reply=replies())
 @example(reply=Reply((103,), b"HTTP/1.1", 200, (5,), None, False, b"hello"))
 @example(reply=Reply((), b"HTTP/2", 200, (5,), None, False, b"hello"))

@@ -288,7 +288,9 @@ def test_curve_missing_records_file(tmp_path, runner):
 
 
 @pytest.mark.parametrize("torn", [b'{"batch_index": 2, "val_s', b'{"batch_index": 2}',
-                                  b'{"batch_index": 2, "val_score": "\xff"}'])
+                                  b'{"batch_index": 2, "val_score": "\xff"}',
+                                  pytest.param(b"[" * 100_000 + b"]" * 100_000,
+                                               id="nested-too-deep")])
 def test_curve_on_a_torn_records_line_exits_2_naming_the_line(tmp_path, runner, torn):
     write_records(tmp_path / "run", [0.2, 0.5])
     records = tmp_path / "run" / "records.jsonl"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from flowtune.config import (
 from flowtune.runtime import ModelSettings
 from flowtune.store import LogicalClock
 from flowtune.trainer import TrainConfig
+
+from .helpers import nested_too_deep
 
 
 def write(tmp_path, obj, name="config.json"):
@@ -68,6 +71,15 @@ def test_missing_file_and_bad_json(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(bad)
+
+
+@nested_too_deep
+def test_a_config_nested_too_deep_is_a_config_error_naming_the_file(tmp_path, deep):
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    with pytest.raises(ConfigError, match=f"^config {re.escape(str(path))} is not valid JSON: "
+                                          "maximum recursion depth"):
+        load_config(path)
 
 
 def test_unknown_mock_script_rejected(tmp_path):

@@ -13,6 +13,8 @@ from flowtune.evaluation import (
     token_f1,
 )
 
+from .helpers import nested_too_deep
+
 
 def test_exact_match_mismatch_names_both_normalized_strings():
     result = exact_match("1865", "1846")
@@ -49,14 +51,14 @@ def test_token_f1_empty_sides():
 text_any = st.text(max_size=60)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(text=text_any)
 def test_normalize_is_idempotent(text):
     once = normalize_answer(text)
     assert normalize_answer(once) == once
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(a=text_any, b=text_any)
 def test_token_f1_symmetry_and_range(a, b):
     left = token_f1(a, b)
@@ -67,7 +69,7 @@ def test_token_f1_symmetry_and_range(a, b):
         assert left.feedback
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(text=text_any)
 def test_exact_match_reflexive(text):
     assert exact_match(text, text).score == 1.0
@@ -133,6 +135,15 @@ def test_a_row_that_is_no_object_in_utf8_names_the_file_and_line(tmp_path, row, 
         load_dataset(path)
     assert e.value.line_no == 2
     assert str(e.value).startswith(f"{path}:2: {reason}")
+
+
+@nested_too_deep
+def test_a_row_nested_too_deep_names_the_file_and_line(tmp_path, deep):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "question": "Q", "answer": "A"}\n' + deep + "\n")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert str(e.value).startswith(f"{path}:2: unreadable row: RecursionError(")
 
 
 def test_sample_is_frozen():

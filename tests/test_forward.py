@@ -113,7 +113,7 @@ safe_text = st.text(alphabet=st.characters(whitelist_categories=("L", "N"),
                                            max_codepoint=0x2FF), max_size=40)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(question=safe_text, previous=safe_text)
 def test_envelope_round_trips_arbitrary_pairs(question, previous):
     text = render_envelope(question, previous)

@@ -173,7 +173,7 @@ def valid_states(draw):
     return WorkflowState(sketch=sketch, executors=executors, revision=draw(st.integers(0, 5)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(state=valid_states())
 def test_valid_states_have_contiguous_ids(state):
     assert validate_state(state) == []

@@ -24,7 +24,7 @@ from flowtune.store import (
     write_checkpoint,
 )
 
-from .helpers import chain_state
+from .helpers import chain_state, nested_too_deep
 
 
 def table(pin: str, pout: str, model="m") -> PriceTable:
@@ -161,7 +161,7 @@ def half_way_calls(draw):
     return in_tok, 1, pin, whole + Decimal("0.5") + top_up
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(call=st.tuples(token_counts, token_counts, decimal_prices, decimal_prices))
 def test_integer_cost_equals_decimal_half_even_rounding(call):
     in_tok, out_tok, pin, pout = call
@@ -170,7 +170,7 @@ def test_integer_cost_equals_decimal_half_even_rounding(call):
     assert cost == decimal_cost_micro(in_tok, out_tok, pin, pout)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(call=half_way_calls())
 def test_integer_cost_rounds_exact_ties_to_even(call):
     in_tok, out_tok, pin, pout = call
@@ -273,7 +273,7 @@ CALLS = st.lists(st.tuples(NAMES, NAMES, st.integers(0, 10**7), st.integers(0, 1
                            COSTS, st.booleans()), min_size=1, max_size=10)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(calls=CALLS, direct=st.integers(0, 10))
 def test_ledger_lines_are_the_rows_to_line_and_decode_back_to_them(tmp_path_factory, calls,
                                                                     direct):
@@ -343,6 +343,14 @@ def test_a_checkpoint_number_that_is_not_an_integer_is_a_load_error(tmp_path, wh
     target[where[-1]] = value
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="must be an integer"):
+        load_checkpoint(path)
+
+
+@nested_too_deep
+def test_a_checkpoint_nested_too_deep_is_a_load_error(tmp_path, deep):
+    path = tmp_path / "ck.json"
+    path.write_text(deep)
+    with pytest.raises(ValueError, match="unreadable workflow state: RecursionError"):
         load_checkpoint(path)
 
 

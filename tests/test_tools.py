@@ -123,7 +123,7 @@ def full_sort_topk(docs, query, k):
 WORDS = ["otter", "river", "fish", "stone"]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     bodies=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
                     min_size=1, max_size=12),
@@ -200,7 +200,7 @@ ALPHABET = "abAB01 .,-'\u00e9\u0130\u212a\u00df\uff21"
 QUERY_TERMS = ["a", "B", "ab", "AB", "0", "a1", "b-a", "1,0", "zebra", "x9"]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     texts=st.lists(st.tuples(st.text(ALPHABET, max_size=12), st.text(ALPHABET, max_size=40)),
                    min_size=1, max_size=12),
@@ -216,7 +216,79 @@ def test_index_matches_the_scan_bit_for_bit(texts, order, query, k):
     assert CorpusIndex(shuffled).search_topk(q, k) == ScanIndex(docs).search_topk(q, k)
 
 
-@settings(max_examples=500, deadline=None)
+@st.composite
+def pruning_corpora(draw):
+    """Documents of which most hold "common", 1-4 times, and a few a rarer
+    term, so that a query's candidates often rank above every document
+    holding "common" alone. Lengths are padded to one value for every
+    document, or each to its own between 1 and 40."""
+    equal = draw(st.booleans())
+    shared = draw(st.integers(7, 40))
+    docs = []
+    for i in range(draw(st.integers(4, 30))):
+        tokens = ["common"] * draw(st.sampled_from([0, 1, 1, 1, 2, 3, 4]))
+        tokens += draw(st.sampled_from([(), (), (), ("alpha",), ("beta",), ("gamma",),
+                                        ("alpha", "beta"), ("gamma", "gamma")]))
+        target = shared if equal else draw(st.integers(1, 40))
+        tokens += ["pad"] * (target - len(tokens))
+        docs.append(CorpusDoc(f"d{i:02d}", "", " ".join(draw(st.permutations(tokens)))))
+    return docs
+
+
+@st.composite
+def pruning_queries(draw):
+    """"common" once or twice and one to three rarer terms, in any order."""
+    terms = ["common"] * draw(st.integers(1, 2))
+    terms += draw(st.lists(st.sampled_from(["alpha", "beta", "gamma", "zebra"]),
+                           min_size=1, max_size=3))
+    return " ".join(draw(st.permutations(terms)))
+
+
+@settings(max_examples=300)
+@given(docs=pruning_corpora(), q=pruning_queries(), k=st.integers(1, 3) | st.integers(1, 12))
+def test_pruned_search_matches_the_scan_bit_for_bit(docs, q, k):
+    assert CorpusIndex(docs).search_topk(q, k) == ScanIndex(docs).search_topk(q, k)
+
+
+def test_a_candidate_that_only_ties_the_bound_does_not_prune():
+    # "common" and "rare" are each in one document of length 1, so both
+    # documents score ln 3, the bound for a document holding "common" alone.
+    # The k-th candidate only ties it, and on the tie d0, holding "common"
+    # alone, ranks first by its lower index.
+    docs = [CorpusDoc("d0", "", "common"), CorpusDoc("d1", "", "rare")]
+    hits = CorpusIndex(docs).search_topk("common rare", 1)
+    assert [(h.doc_id, h.score) for h in hits] == [("d0", math.log(3.0))]
+    assert hits == ScanIndex(docs).search_topk("common rare", 1)
+
+
+class CountingList(list):
+    """A list that counts its item lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def test_a_pruned_search_scores_only_the_candidates():
+    docs = [CorpusDoc(f"d{i:04d}", "", "common pad pad " + ("rare" if i % 100 == 0 else "pad"))
+            for i in range(1000)]
+    index = CorpusIndex(docs)
+    index._lengths = lengths = CountingList(index._lengths)
+    # 10 candidates hold "rare", and score above any of the 990 documents
+    # holding "common" alone: only the candidates are scored.
+    hits = index.search_topk("common rare", 5)
+    assert [h.doc_id for h in hits] == ["d0000", "d0100", "d0200", "d0300", "d0400"]
+    assert lengths.lookups == 10
+    # With k past the candidates, none is scored before the full walk.
+    lengths.lookups = 0
+    assert len(index.search_topk("common rare", 11)) == 11
+    assert lengths.lookups == 1000
+    assert index.search_topk("common rare", 11) == ScanIndex(docs).search_topk("common rare", 11)
+
+
+@settings(max_examples=500)
 @given(st.text())
 def test_tokenize_matches_the_regular_expression(text):
     assert tokenize(text) == scan_tokenize(text)
@@ -355,6 +427,7 @@ def test_load_corpus_round_trip_and_duplicate(tmp_path):
     ('{"doc_id": "b", "body": "C"}', "KeyError"),
     ("[1, 2]", "TypeError"),
     ('{"doc_id": "b", "title": "U", "bo', "JSONDecodeError"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "RecursionError", id="nested-too-deep"),
 ])
 def test_load_corpus_names_the_corpus_and_the_line_of_an_unreadable_row(tmp_path, row, cause):
     path = tmp_path / "corpus.jsonl"
