@@ -15,7 +15,8 @@ import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter, truediv
+from itertools import repeat
+from operator import add, attrgetter, mul, truediv
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -159,7 +160,8 @@ class CorpusIndex:
         of documents that rank nowhere. So the candidates, the documents of
         the other terms' postings, are scored first, each with its count of
         L. If the k-th of them scores above any document holding L alone
-        can, they are the top k; otherwise every posting is walked.
+        can, they are the top k. Otherwise the documents holding L alone
+        join them, scored a whole posting at a time since each adds only L.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -169,70 +171,94 @@ class CorpusIndex:
         if not terms:
             return []
         longest = max(terms, key=lambda term: len(self._postings[term][0]))
-        top = self._candidates_top(terms, longest, k)
-        if top is None:
-            top = self._top(self._sums(terms), k)[1]
+        m = terms.count(longest)
+        found, partial = self._candidate_sums(terms, longest)
+        top = None
+        if len(partial) >= k:
+            cut, top = self._top(list(partial), list(partial.values()), k)
+        if top is None or not self._above_lone(cut, longest, m):
+            top = self._top(*self._with_lone(longest, m, found, partial), k)[1]
         return [SearchHit(doc_id=self._ids[i], title=self._titles[i],
                           snippet=self._bodies[i][:SNIPPET_CHARS], score=-neg)
                 for neg, i in top]
 
-    def _sums(self, terms: list[str], longest: str | None = None,
-              counts: dict[int, int] | None = None) -> dict[int, float]:
-        """document index -> the sum of tf * idf over `terms`, added in query
-        order, so that each sum is the same float a scan of the whole corpus
-        computes. The term `longest`, if given, adds only for the documents
-        in `counts`, its count in each."""
+    def _candidate_sums(self, terms: list[str],
+                        longest: str) -> tuple[dict[int, int], dict[int, float]]:
+        """The candidates, the documents of the postings of the terms other
+        than `longest`, as two maps: from each that holds `longest` to its
+        place in that term's posting, found by binary search; and from each
+        to its sum of tf * idf over `terms`. The sums are added in query
+        order, so that each is the same float a scan of the whole corpus
+        computes."""
+        ids, tfs = self._postings[longest]
+        candidates: set[int] = set()
+        for term in set(terms) - {longest}:
+            candidates.update(self._postings[term][0])
+        found: dict[int, int] = {}
+        for i in candidates:
+            j = bisect_left(ids, i)
+            if j < len(ids) and ids[j] == i:
+                found[i] = j
         partial: dict[int, float] = {}
         get = partial.get
         for term in terms:
             idf = self._idf[term]
-            pairs = counts.items() if term == longest else zip(*self._postings[term])
+            if term == longest:
+                pairs = zip(found, map(tfs.__getitem__, found.values()))
+            else:
+                pairs = zip(*self._postings[term])
             for i, tf in pairs:
                 partial[i] = get(i, 0.0) + tf * idf
-        return partial
+        return found, partial
 
-    def _top(self, partial: dict[int, float], k: int) -> tuple[float, list[tuple[float, int]]]:
+    def _above_lone(self, cut: float, term: str, m: int) -> bool:
+        """Whether `cut` is above the score of every document that holds
+        `term` alone, for m occurrences of `term` in the query.
+
+        Such a document scores at most `bound`: m adds of max_tf * idf from
+        0.0, over the shortest length. Rounding is monotone, so the floats
+        keep that order and the bound is exact. It must be beaten strictly:
+        on a tie, a document holding `term` alone ranks first if its index
+        is lower.
+        """
+        idf = self._idf[term]
+        # tf = 1 first: where even that bound is not beaten, max(tfs), a
+        # pass over the whole posting, is not needed.
+        return (cut > _copies(idf, m) / self._min_length
+                and cut > _copies(max(self._postings[term][1]) * idf, m) / self._min_length)
+
+    def _with_lone(self, term: str, m: int, found: dict[int, int],
+                   partial: dict[int, float]) -> tuple[list[int], list[float]]:
+        """Every document of `term`'s posting and every candidate, as
+        parallel lists of indices and sums. A document of the posting that
+        is no candidate holds `term` alone, so its sum is m adds of tf * idf
+        from 0.0, and the posting's sums are made in a few passes over it,
+        not one step per document."""
+        ids, tfs = self._postings[term]
+        adds = list(map(mul, tfs, repeat(self._idf[term], len(tfs))))
+        sums = adds  # 0.0 + x is x
+        for _ in range(m - 1):
+            sums = list(map(add, sums, adds))
+        indices = list(ids)
+        for i, s in partial.items():
+            j = found.get(i)
+            if j is None:
+                indices.append(i)
+                sums.append(s)
+            else:
+                sums[j] = s
+        return indices, sums
+
+    def _top(self, indices: list[int], sums: list[float],
+             k: int) -> tuple[float, list[tuple[float, int]]]:
         """The k-th best score and the k best (-score, index) pairs."""
         # Every matched score is > 0 (tf >= 1, idf >= log 2). The scores are
         # one list of floats, which the garbage collector does not track; the
         # k-th best of them is the cut, and only the documents at or above it
         # become (-score, index) pairs, so ties at the cut still rank by index.
-        scores = list(map(truediv, partial.values(), map(self._lengths.__getitem__, partial)))
+        scores = list(map(truediv, sums, map(self._lengths.__getitem__, indices)))
         cut = heapq.nlargest(k, scores)[-1]
-        return cut, sorted([(-s, i) for i, s in zip(partial, scores) if s >= cut])[:k]
-
-    def _candidates_top(self, terms: list[str], longest: str,
-                        k: int) -> list[tuple[float, int]] | None:
-        """The top k among the documents of the postings of the terms other
-        than `longest`, or None if a document holding `longest` alone might
-        rank among them.
-
-        Such a document scores at most `bound`: m adds of max_tf * idf from
-        0.0, over the shortest length, for m occurrences of `longest` in the
-        query. Rounding is monotone, so the floats keep that order and the
-        bound is exact. It must be beaten strictly: on a tie, a document
-        holding `longest` alone ranks first if its index is lower.
-        """
-        ids, tfs = self._postings[longest]
-        candidates: set[int] = set()
-        for term in set(terms) - {longest}:
-            candidates.update(self._postings[term][0])
-        if len(candidates) < k:
-            return None
-        counts: dict[int, int] = {}
-        for i in candidates:
-            j = bisect_left(ids, i)
-            if j < len(ids) and ids[j] == i:
-                counts[i] = tfs[j]
-        cut, top = self._top(self._sums(terms, longest, counts), k)
-        m = terms.count(longest)
-        idf = self._idf[longest]
-        # tf = 1 first: where even that bound is not beaten, max(tfs), a
-        # pass over the whole posting, is not needed.
-        if cut > _copies(idf, m) / self._min_length and \
-                cut > _copies(max(tfs) * idf, m) / self._min_length:
-            return top
-        return None
+        return cut, sorted([(-s, i) for i, s in zip(indices, scores) if s >= cut])[:k]
 
 
 def _copies(x: float, m: int) -> float:

@@ -58,11 +58,11 @@ from .helpers import (
     NEGATIVE_CHUNK,
     OVERFLOWING_CHUNK,
     REFUSAL,
+    Raw,
     SLOW,
     UNTIL_CLOSE,
     Usage,
     chat_stub,
-    Raw,
     clear_proxy_env,
     fenced,
     nested_too_deep,

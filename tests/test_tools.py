@@ -281,7 +281,8 @@ def test_a_pruned_search_scores_only_the_candidates():
     hits = index.search_topk("common rare", 5)
     assert [h.doc_id for h in hits] == ["d0000", "d0100", "d0200", "d0300", "d0400"]
     assert lengths.lookups == 10
-    # With k past the candidates, none is scored before the full walk.
+    # With k past the candidates, none is scored before the 990 documents
+    # holding "common" alone join them.
     lengths.lookups = 0
     assert len(index.search_topk("common rare", 11)) == 11
     assert lengths.lookups == 1000
