@@ -8,6 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .model import json_text
+
 ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -33,6 +35,10 @@ class Sample:
     id: str
     question: str
     answer: str
+
+
+# A dataset row's keys, in the order of Sample's fields.
+_SAMPLE_KEYS = ("id", "question", "answer")
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,9 @@ def metric_info(name: str) -> str:
 
 def load_dataset(path: str | Path) -> list[Sample]:
     """Read one JSONL split; order is file order, ids must be unique. A row
-    that is not a JSON object in UTF-8 is a DatasetParseError naming the
-    file and the line."""
+    that is not a JSON object in UTF-8, or whose `id`, `question` or
+    `answer` is not a JSON string or number, is a DatasetParseError naming
+    the file and the line. A number is read in its `str` form."""
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
@@ -134,19 +141,17 @@ def load_dataset(path: str | Path) -> list[Sample]:
                 raise DatasetParseError(path, line_no, f"unreadable row: {e!r}") from e
             if type(row) is not dict:
                 raise DatasetParseError(path, line_no, "row is not a JSON object")
-            for key in ("id", "question", "answer"):
+            for key in _SAMPLE_KEYS:
                 if key not in row:
                     raise DatasetParseError(path, line_no, f"missing field {key!r}")
-            sample_id = str(row["id"])
-            if sample_id in seen:
-                raise DuplicateIdError(path, line_no, sample_id)
-            if not str(row["question"]):
+            try:
+                sample = Sample(*[json_text(row[key], key) for key in _SAMPLE_KEYS])
+            except ValueError as e:
+                raise DatasetParseError(path, line_no, str(e)) from None
+            if sample.id in seen:
+                raise DuplicateIdError(path, line_no, sample.id)
+            if not sample.question:
                 raise DatasetParseError(path, line_no, "question is empty")
-            seen.add(sample_id)
-            samples.append(Sample(
-                id=sample_id,
-                question=str(row["question"]),
-                answer=str(row["answer"]),
-            ))
+            seen.add(sample.id)
+            samples.append(sample)
     return samples
-

@@ -46,6 +46,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_text(value, what: str) -> str:
+    """`value` as text if it is a JSON string or number, a number in its
+    `str` form; null, a bool, an array or an object is a ValueError, not
+    text to index or compare as its Python repr."""
+    if type(value) not in (str, int, float):
+        raise ValueError(f"{what} must be a string or a number, got {type(value).__name__}")
+    return str(value)
+
+
 def canonical_json(obj) -> str:
     """Stable JSON for files: sorted keys, UTF-8 text, LF lines, trailing newline."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"

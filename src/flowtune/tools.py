@@ -16,12 +16,12 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, attrgetter, mul, truediv
+from operator import add, itemgetter, mul, truediv
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .backend import JsonExtractError, Message, extract_json
-from .model import ExecutorSpec, TokenUsage, ToolInvocation, compact_json
+from .backend import JsonExtractError, Message, _decode_at, extract_json
+from .model import ExecutorSpec, TokenUsage, ToolInvocation, compact_json, json_text
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -46,8 +46,10 @@ class ToolSpec:
     parameter_schema: str
 
 
-@dataclass(frozen=True)
-class CorpusDoc:
+class CorpusDoc(NamedTuple):
+    """One document. A named tuple: a corpus of them is cheap to build, and
+    the index takes its fields apart by position."""
+
     doc_id: str
     title: str
     body: str
@@ -76,8 +78,10 @@ def tokenize(text: str) -> list[str]:
 
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
     """The documents of a JSON-lines corpus, one object with `doc_id`, `title`
-    and `body` per line. A line that is not such an object in UTF-8, such as
-    one cut short, is a ValueError naming the corpus and the line."""
+    and `body` per line, each a JSON string or number (a number is indexed
+    in its `str` form). A line that is not such an object in UTF-8, such as
+    one cut short or one with data after its object, is a ValueError naming
+    the corpus and the line."""
     docs: list[CorpusDoc] = []
     seen: set[str] = set()
     # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
@@ -87,16 +91,19 @@ def load_corpus(path: str | Path) -> list[CorpusDoc]:
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                row = json.loads(line)
-                doc = CorpusDoc(doc_id=str(row["doc_id"]), title=str(row["title"]),
-                                body=str(row["body"]))
+                row, end = _decode_at(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                doc_id, title, body = row["doc_id"], row["title"], row["body"]
+                if type(doc_id) is not str or type(title) is not str or type(body) is not str:
+                    doc_id, title, body = map(json_text, (doc_id, title, body), CorpusDoc._fields)
             except (ValueError, LookupError, TypeError, RecursionError) as e:
                 raise ValueError(f"corpus {path}, line {line_no}: unreadable row: {e!r}") from e
-            if doc.doc_id in seen:
+            if doc_id in seen:
                 raise DuplicateDocId(f"corpus {path}, line {line_no}: "
-                                     f"doc_id {doc.doc_id!r} repeated")
-            seen.add(doc.doc_id)
-            docs.append(doc)
+                                     f"doc_id {doc_id!r} repeated")
+            seen.add(doc_id)
+            docs.append(CorpusDoc(doc_id, title, body))
     return docs
 
 
@@ -117,34 +124,36 @@ class CorpusIndex:
     """
 
     def __init__(self, docs: list[CorpusDoc]):
-        ordered = sorted(docs, key=attrgetter("doc_id"))
+        ordered = sorted(docs, key=itemgetter(0))
         # Each field in its own tuple of strings, in doc-id order. Such tuples
         # leave the garbage collector's tracking, and the index keeps no
         # `CorpusDoc`, so a full collection walks no object per document.
-        self._ids = tuple(map(attrgetter("doc_id"), ordered))
-        self._titles = tuple(map(attrgetter("title"), ordered))
-        self._bodies = tuple(map(attrgetter("body"), ordered))
-        for prev, doc_id in zip(self._ids, self._ids[1:]):
-            if prev == doc_id:
-                raise DuplicateDocId(f"doc_id {doc_id!r} repeated")
+        self._ids, self._titles, self._bodies = zip(*ordered) if ordered else ((), (), ())
+        if len(set(self._ids)) != len(self._ids):
+            doc_id = next(b for a, b in zip(self._ids, self._ids[1:]) if a == b)
+            raise DuplicateDocId(f"doc_id {doc_id!r} repeated")
         # term -> the index of each document, once per occurrence of the term
         # in it. Documents are added in order, so the indices ascend.
         occurrences: defaultdict[str, list[int]] = defaultdict(list)
         lengths: list[int] = []
-        for i, doc in enumerate(ordered):
-            tokens = tokenize(doc.title + " " + doc.body)
-            lengths.append(max(1, len(tokens)))
+        for i, (title, body) in enumerate(zip(self._titles, self._bodies)):
+            tokens = tokenize(title + " " + body)
+            lengths.append(len(tokens) or 1)
             for term in tokens:
                 occurrences[term].append(i)
         # term -> (indices of the documents that contain it, ascending; the
         # term's count in each). Each list is dropped as its posting is made,
         # so the two are never both held in full. Tuples of ints leave the
         # garbage collector's tracking, so a full collection skips them.
+        # The tuples made after the collector's last pass are walked in its
+        # next, which falls in the first searches. So the postings are made
+        # in the order the terms first appear: a term first seen late is in
+        # few documents, and those last tuples are short.
         n = len(self._ids)
         postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         idf: dict[str, float] = {}
-        while occurrences:
-            term, ids = occurrences.popitem()
+        for term in list(occurrences):
+            ids = occurrences.pop(term)
             counts = Counter(ids)
             postings[term] = (tuple(counts), tuple(counts.values()))
             idf[term] = math.log(1.0 + n / len(counts))

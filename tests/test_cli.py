@@ -813,6 +813,7 @@ def test_config_error_leaves_no_run_that_blocks_a_retry(tmp_path, runner):
     '{"doc_id": "b", "body": "C"}',
     "[1, 2]",
     '{"doc_id": "b", "title": "U", "bo',
+    '{"doc_id": "b", "title": null, "body": ["x", {"y": 1}]}',
 ])
 def test_an_unreadable_corpus_row_exits_2_naming_the_line_before_writing(tmp_path, runner, row):
     corpus = tmp_path / "corpus.jsonl"
@@ -840,6 +841,20 @@ def test_a_corpus_row_that_is_not_utf8_exits_2_naming_the_line_before_writing(tm
     assert result.exit_code == 2, result.output
     error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
     assert error.startswith(f"corpus {corpus}, line 2: unreadable row: UnicodeDecodeError")
+    assert not run_dir.exists()
+
+
+def test_a_dataset_field_that_is_no_string_or_number_exits_2_before_writing(tmp_path, runner):
+    config_path = write_toy_config(tmp_path)
+    train = tmp_path / "train.jsonl"
+    with open(train, "a", encoding="utf-8") as f:
+        f.write('{"id": "a", "question": null, "answer": [1]}\n')
+    run_dir = tmp_path / "run"
+    result = runner.invoke(main, ["train", "--config", str(config_path),
+                                  "--run-dir", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert error == f"{train}:5: question must be a string or a number, got NoneType"
     assert not run_dir.exists()
 
 

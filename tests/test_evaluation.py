@@ -137,6 +137,20 @@ def test_a_row_that_is_no_object_in_utf8_names_the_file_and_line(tmp_path, row, 
     assert str(e.value).startswith(f"{path}:2: {reason}")
 
 
+@pytest.mark.parametrize("row, reason", [
+    ('{"id": "b", "question": null, "answer": [1]}', "question must be a string or a number"),
+    ('{"id": "b", "question": "Q", "answer": [1]}', "answer must be a string or a number"),
+    ('{"id": true, "question": "Q", "answer": "A"}', "id must be a string or a number"),
+    ('{"id": "b", "question": "Q", "answer": {"x": 1}}', "answer must be a string or a number"),
+])
+def test_a_field_that_is_no_string_or_number_names_the_file_and_line(tmp_path, row, reason):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "question": "Q", "answer": "A"}\n' + row + "\n")
+    with pytest.raises(DatasetParseError) as e:
+        load_dataset(path)
+    assert str(e.value).startswith(f"{path}:2: {reason}")
+
+
 @nested_too_deep
 def test_a_row_nested_too_deep_names_the_file_and_line(tmp_path, deep):
     path = tmp_path / "bad.jsonl"

@@ -5,7 +5,6 @@ import random
 import re
 import sys
 import threading
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -300,19 +299,17 @@ def test_tokenize_splits_at_every_character_outside_the_ascii_runs():
         "caf", "ole", "x", "9", "i", "b", "kelvin", "z"]
 
 
-def tracked_below(roots):
-    """The objects the garbage collector tracks among `roots` and everything
-    reachable from them."""
-    seen, stack, tracked = set(), list(roots), []
+def reachable(roots):
+    """`roots` and every object reachable from them, tracked or not."""
+    seen, stack, found = set(), list(roots), []
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if gc.is_tracked(obj):
-            tracked.append(obj)
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
-    return tracked
+    return found
 
 
 def test_posting_containers_leave_the_garbage_collectors_tracking():
@@ -321,9 +318,8 @@ def test_posting_containers_leave_the_garbage_collectors_tracking():
     docs = [CorpusDoc(f"d{i:03d}", rng.choice(words),
                       " ".join(rng.choice(words) for _ in range(rng.randrange(1, 20))))
             for i in range(200)]
-    first = weakref.ref(docs[0])
+    references = [sys.getrefcount(doc) for doc in docs]
     index = CorpusIndex(docs)
-    del docs
     postings = list(index._postings.values())
     # A collection untracks the tuples of ints; the next, the pairs that
     # hold them.
@@ -331,12 +327,15 @@ def test_posting_containers_leave_the_garbage_collectors_tracking():
     assert not any(gc.is_tracked(part) for pair in postings for part in pair)
     gc.collect()
     assert not any(gc.is_tracked(pair) for pair in postings)
-    # The index holds no caller's document, and of all it holds only its
-    # attributes themselves may stay tracked, none of the 200 documents'
-    # fields, lengths or postings.
-    assert first() is None
+    # The index holds no caller's document, nor does anything else it left
+    # behind, and of all it holds only its attributes themselves may stay
+    # tracked, none of the 200 documents' fields, lengths or postings.
+    assert [sys.getrefcount(doc) for doc in docs] == references
     attributes = list(vars(index).values())
-    assert all(any(obj is a for a in attributes) for obj in tracked_below(attributes))
+    held = reachable(attributes)
+    callers = {id(docs), *map(id, docs)}
+    assert not any(id(obj) in callers for obj in held)
+    assert all(any(obj is a for a in attributes) for obj in held if gc.is_tracked(obj))
 
 
 def test_a_search_allocates_nothing_per_matching_document():
@@ -429,10 +428,24 @@ def test_load_corpus_round_trip_and_duplicate(tmp_path):
     ("[1, 2]", "TypeError"),
     ('{"doc_id": "b", "title": "U", "bo', "JSONDecodeError"),
     pytest.param("[" * 100_000 + "]" * 100_000, "RecursionError", id="nested-too-deep"),
+    pytest.param('{"doc_id": "b", "title": "U", "body": "C"} {"doc_id": "c", "title": "V", '
+                 '"body": "D"}', "JSONDecodeError('Extra data", id="two-objects"),
+    pytest.param('\ufeff{"doc_id": "b", "title": "U", "body": "C"}', "JSONDecodeError",
+                 id="byte-order-mark"),
+    pytest.param('"b"', "TypeError", id="bare-string"),
+    pytest.param('{"doc_id": "b", "title": null, "body": ["x", {"y": 1}]}',
+                 "title must be a string or a number, got NoneType", id="null-title"),
+    pytest.param('{"doc_id": "b", "title": "U", "body": ["x"]}',
+                 "body must be a string or a number, got list", id="array-body"),
+    pytest.param('{"doc_id": "b", "title": "U", "body": {"y": 1}}',
+                 "body must be a string or a number, got dict", id="object-body"),
+    pytest.param('{"doc_id": true, "title": "U", "body": "C"}',
+                 "doc_id must be a string or a number, got bool", id="boolean-id"),
 ])
 def test_load_corpus_names_the_corpus_and_the_line_of_an_unreadable_row(tmp_path, row, cause):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"doc_id": "a", "title": "T", "body": "B"}\n' + row + "\n")
+    path.write_text('{"doc_id": "a", "title": "T", "body": "B"}\n' + row + "\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_corpus(path)
     message = str(info.value)
