@@ -19,6 +19,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import selectors
@@ -123,6 +124,15 @@ def _token_count(value) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"token count must be a whole number >= 0, got {value!r}")
     return value
+
+
+def _seconds(value) -> float:
+    """A booked latency: a JSON number, as a float. Anything else, a bool or
+    a string included, is a TypeError, and an integer too large for a float
+    an OverflowError."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"latency_s is not a number: {value!r}")
+    return float(value)
 
 
 class Backend(Protocol):
@@ -249,6 +259,9 @@ class HttpBackend:
             raise ValueError("max_attempts must be at least 1")
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        # A socket refuses a timeout past its clock's range, about 292 years.
+        if timeout_s > threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout_s must be at most {threading.TIMEOUT_MAX:g}")
         if backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
         url = urllib.parse.urlsplit(endpoint.rstrip("/"))
@@ -580,13 +593,17 @@ class ReplayBackend:
 
     def _load(self) -> None:
         """Keep each row's identity hash and entry; no request is kept."""
-        self._rows = [(hash(identity), entry) for identity, entry in self._read()]
+        self._rows = list(self._read(hashed=True))
 
-    def _read(self):
-        """The store's (identity, entry) rows; a row that does not parse,
-        such as a last line cut short, not UTF-8, with data after its value,
-        with content that is not a string or with a token count that is not
-        a whole number >= 0, is a ValueError naming the store and the line."""
+    def _read(self, hashed: bool = False):
+        """The store's (identity, entry) rows, or with `hashed` (identity
+        hash, entry) rows; a row that does not parse, such as a last line
+        cut short, not UTF-8, with data after its value, with content that
+        is not a string, with a token count that is not a whole number >= 0,
+        with a latency that is no number a float holds, with messages that
+        are not a list, or with an array or object for its model id or a
+        message's role or content, is a ValueError naming the store and the
+        line."""
         if not self.store_path.exists():
             return
         # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
@@ -607,15 +624,19 @@ class ReplayBackend:
                         content=text,
                         input_tokens=_token_count(resp.get("input_tokens", 0)),
                         output_tokens=_token_count(resp.get("output_tokens", 0)),
-                        latency_s=float(resp.get("latency_s", 0.0)),
+                        latency_s=_seconds(resp.get("latency_s", 0.0)),
                     )
                     req = row["request"]
+                    if type(req["messages"]) is not list:
+                        raise TypeError(f"messages is not a list: {req['messages']!r}")
                     messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
                     identity = _identity(req["model_id"], messages, req["temperature"])
-                except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
+                    key = hash(identity)  # an array or object in it is unhashable
+                except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
+                        OverflowError) as e:
                     raise ValueError(f"replay store {self.store_path}, line {number}: "
                                      f"unreadable row: {e!r}") from e
-                yield identity, entry
+                yield (key if hashed else identity), entry
 
     def _by_identity(self, identity: tuple, request: ChatRequest) -> ChatResponse | str:
         """The entry of `identity`; the first call reads the store again to
@@ -745,6 +766,9 @@ class Budget:
             raise ValueError("max_calls must be positive when set")
         if self.max_cost_usd is not None and self.max_cost_usd <= 0:
             raise ValueError("max_cost_usd must be positive when set")
+        if self.max_cost_usd is not None and not self.max_cost_usd * 1_000_000 < math.inf:
+            raise ValueError(f"max_cost_usd must be a finite number of micro-dollars, "
+                             f"got {self.max_cost_usd}")
 
 
 class BudgetExceeded(RuntimeError):

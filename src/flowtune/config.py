@@ -192,14 +192,14 @@ def _checked(prefix: str, obj, hints: dict, base: Path, required=()) -> dict:
 
 
 def _parse_backend(obj, base: Path) -> dict:
-    if type(obj) is not dict or obj.get("kind") not in BACKEND_KEYS:
+    kind = obj.get("kind") if type(obj) is dict else None
+    if type(kind) is not str or kind not in BACKEND_KEYS:
         raise ConfigError(f"backend.kind must be one of {tuple(BACKEND_KEYS)}")
-    keys, required = BACKEND_KEYS[obj["kind"]]
+    keys, required = BACKEND_KEYS[kind]
     # record_path is read only from the config.json of run directories that
     # earlier versions wrote; `flowtune train` refuses it.
     backend = _checked("backend.", obj, {"kind": str, "record_path": Path | None, **keys},
                        base, required)
-    kind = backend["kind"]
     if kind == "scripted-mock":
         backend = {"script": "echo", **backend}
         if backend["script"] not in MOCK_SCRIPTS:
@@ -269,7 +269,8 @@ def build_tool_registry(cfg: RunConfig) -> ToolRegistry:
         # Left out, the search tool's own default k applies.
         k = {"default_k": cfg.tools["top_k_default"]} if "top_k_default" in cfg.tools else {}
         for name in cfg.tools["enabled"]:
-            registry.register(*make_corpus_search_tool(index, name=name, **k))
+            _checked_call(registry.register, *make_corpus_search_tool(index, name=name, **k),
+                          prefix="tools.enabled: ")
     return registry
 
 

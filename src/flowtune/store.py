@@ -55,9 +55,16 @@ class Price:
     output_per_1m: Decimal
 
 
+# A price has at most this many digits before and after its point: the exact
+# ratio of one such as 1e999999999 would take hours to make and gigabytes to hold.
+_PRICE_DIGITS = 100
+
+
 class PriceTable:
-    """USD prices per million tokens, keyed by model id. A negative price is
-    a ValueError naming the model and the price, so no cost is negative."""
+    """USD prices per million tokens, keyed by model id. A negative price,
+    so that no cost is negative, and one with more than `_PRICE_DIGITS`
+    digits before or after its point are a ValueError naming the model and
+    the price."""
 
     def __init__(self, prices: dict[str, Price] | None = None):
         # Each model's two prices, exactly: numerators over one denominator.
@@ -66,6 +73,9 @@ class PriceTable:
             for key, value in vars(price).items():
                 if value < 0:
                     raise ValueError(f"{model_id}.{key} must be >= 0, got {value}")
+                if value.adjusted() >= _PRICE_DIGITS or value.as_tuple().exponent < -_PRICE_DIGITS:
+                    raise ValueError(f"{model_id}.{key} must have at most {_PRICE_DIGITS} "
+                                     f"digits before and after the point")
             n_in, d_in = price.input_per_1m.as_integer_ratio()
             n_out, d_out = price.output_per_1m.as_integer_ratio()
             den = math.lcm(d_in, d_out)

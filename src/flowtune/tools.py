@@ -149,18 +149,25 @@ class CorpusIndex:
         # next, which falls in the first searches. So the postings are made
         # in the order the terms first appear: a term first seen late is in
         # few documents, and those last tuples are short.
-        n = len(self._ids)
+        # A term is in a document more than once exactly where its posting
+        # is shorter than its occurrences; only those terms' highest counts
+        # are recorded, since every other term's is 1.
         postings: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        idf: dict[str, float] = {}
+        max_tf: dict[str, int] = {}
         for term in list(occurrences):
             ids = occurrences.pop(term)
             counts = Counter(ids)
             postings[term] = (tuple(counts), tuple(counts.values()))
-            idf[term] = math.log(1.0 + n / len(counts))
+            if len(counts) != len(ids):
+                max_tf[term] = max(counts.values())
         self._postings = postings
+        self._max_tf = max_tf
         self._lengths = lengths
         self._min_length = min(lengths, default=1)
-        self._idf = idf
+
+    def _idf(self, term: str) -> float:
+        """ln(1 + n / df) for a term of the index."""
+        return math.log(1.0 + len(self._ids) / len(self._postings[term][0]))
 
     def search_topk(self, query: str, k: int) -> list[SearchHit]:
         """The k best documents for `query`, best first.
@@ -208,10 +215,11 @@ class CorpusIndex:
             j = bisect_left(ids, i)
             if j < len(ids) and ids[j] == i:
                 found[i] = j
+        idfs = {term: self._idf(term) for term in terms}
         partial: dict[int, float] = {}
         get = partial.get
         for term in terms:
-            idf = self._idf[term]
+            idf = idfs[term]
             if term == longest:
                 pairs = zip(found, map(tfs.__getitem__, found.values()))
             else:
@@ -224,17 +232,14 @@ class CorpusIndex:
         """Whether `cut` is above the score of every document that holds
         `term` alone, for m occurrences of `term` in the query.
 
-        Such a document scores at most `bound`: m adds of max_tf * idf from
-        0.0, over the shortest length. Rounding is monotone, so the floats
-        keep that order and the bound is exact. It must be beaten strictly:
-        on a tie, a document holding `term` alone ranks first if its index
-        is lower.
+        Such a document scores at most m adds of max_tf * idf from 0.0,
+        over the shortest length. Rounding is monotone, so the floats keep
+        that order and the bound is exact. It must be beaten strictly: on a
+        tie, a document holding `term` alone ranks first if its index is
+        lower. The term's highest count was recorded when the index was
+        built, so no entry of its posting is read here.
         """
-        idf = self._idf[term]
-        # tf = 1 first: where even that bound is not beaten, max(tfs), a
-        # pass over the whole posting, is not needed.
-        return (cut > _copies(idf, m) / self._min_length
-                and cut > _copies(max(self._postings[term][1]) * idf, m) / self._min_length)
+        return cut > _copies(self._max_tf.get(term, 1) * self._idf(term), m) / self._min_length
 
     def _with_lone(self, term: str, m: int, found: dict[int, int],
                    partial: dict[int, float]) -> tuple[list[int], list[float]]:
@@ -244,7 +249,7 @@ class CorpusIndex:
         from 0.0, and the posting's sums are made in a few passes over it,
         not one step per document."""
         ids, tfs = self._postings[term]
-        adds = list(map(mul, tfs, repeat(self._idf[term], len(tfs))))
+        adds = list(map(mul, tfs, repeat(self._idf(term), len(tfs))))
         sums = adds  # 0.0 + x is x
         for _ in range(m - 1):
             sums = list(map(add, sums, adds))

@@ -236,6 +236,15 @@ def test_budget_rejects_nonpositive_caps(bad):
         Budget(**bad)
 
 
+def test_a_cost_cap_or_timeout_past_what_a_float_or_a_socket_holds_is_refused():
+    for cap in (1e303, float("nan")):
+        with pytest.raises(ValueError, match="micro-dollars"):
+            Budget(max_cost_usd=cap)
+    with pytest.raises(ValueError, match="timeout_s"):
+        HttpBackend("http://127.0.0.1:9", timeout_s=1e10)
+    HttpBackend("http://127.0.0.1:9", timeout_s=threading.TIMEOUT_MAX)
+
+
 def test_cost_budget_allows_single_overshoot():
     prices = PriceTable({"m": Price(Decimal("1000000"), Decimal("0"))})
     client, ledger = make_client(echo_script, budget=Budget(max_cost_usd=1.0), prices=prices)
@@ -857,9 +866,24 @@ class _Socket:
         return io.BufferedReader(io.BytesIO(self.data))
 
 
-def http_client_read(data: bytes):
+class _CappedReader(io.BufferedReader):
+    """Reads at most 1 MiB at a time, more than any reply here holds, so a
+    size past the reply fails as it would, without allocating the size. Any
+    negative n reads the rest, as a small one does; one past the index range
+    would raise OverflowError, out of `http.client` as from here."""
+
+    def read(self, n=-1):
+        return super().read() if n is None or n < 0 else super().read(min(n, 1 << 20))
+
+
+class _CappedSocket(_Socket):
+    def makefile(self, mode):
+        return _CappedReader(io.BytesIO(self.data))
+
+
+def http_client_read(data: bytes, sock=_Socket):
     """(status, body) as `http.client` reads data, or None where it raises."""
-    response = http.client.HTTPResponse(_Socket(data))
+    response = http.client.HTTPResponse(sock(data))
     try:
         response.begin()
         return response.status, response.read()
@@ -898,6 +922,74 @@ def test_read_response_fails_only_to_receive_and_reads_what_http_client_reads(re
         expected = http_client_read(data)
         if expected is not None:
             assert ours == expected
+
+
+CHUNKED_HEAD = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+OVER_LONG = "0" * 70_000  # past the 65,536-byte line limit of both readers
+
+
+@st.composite
+def size_lines(draw, size: int) -> bytes:
+    """A chunk-size line for `size`, spelled in one of the ways `int(_, 16)`
+    takes or refuses: a sign, a `0x` prefix, `_` between digits, spaces,
+    an extension after `;`, or more than a line may hold."""
+    digits = draw(st.sampled_from(["%x", "%X", "%03x"])) % abs(size)
+    if len(digits) > 1 and draw(st.booleans()):
+        digits = digits[:1] + "_" + digits[1:]
+    sign = "-" if size < 0 else draw(st.sampled_from(["", "", "", "+", "-"]))
+    prefix = draw(st.sampled_from(["", "", "", "0x", "0X", "_", "x"]))
+    line = sign + prefix + digits
+    line = draw(st.sampled_from(["", "", " ", "\t"])) + line + draw(st.sampled_from(["", "", " "]))
+    line += draw(st.sampled_from(["", "", "", ";", ";name=value", ' ; q="a;b"', ";" + OVER_LONG]))
+    if draw(st.integers(0, 30)) == 0:
+        line = OVER_LONG + line
+    return line.encode("latin-1") + draw(st.sampled_from([b"\r\n", b"\r\n", b"\n", b""]))
+
+
+@st.composite
+def chunked_bodies(draw) -> bytes:
+    """A chunked body, perhaps cut short: chunks of honest or other sizes,
+    each ended by CRLF or some other bytes, then the last chunk, trailer
+    lines and their blank line, or not."""
+    data = b""
+    for chunk in draw(st.lists(st.binary(max_size=6), max_size=3)):
+        size = draw(honest_or_any(len(chunk)).filter(bool))  # a size of 0 is the last chunk
+        data += draw(size_lines(size)) + chunk + draw(st.sampled_from([b"\r\n", b"\r\n", b"\n",
+                                                                       b"..", b""]))
+    data += draw(size_lines(0))
+    trailers = st.sampled_from([b"Expires: never", b"X-Check: 1 2", b":", b"x" * 70_000])
+    for line in draw(st.lists(trailers, max_size=2)):
+        data += line + draw(st.sampled_from([b"\r\n", b"\n"]))
+    data += draw(st.sampled_from([b"\r\n", b"\r\n", b"\n", b""]))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+# Both readers take a size as `int(_, 16)` takes it, so a sign, a 0x prefix
+# and `_` between digits are read; a negative size, which http.client reads
+# as "the rest of the reply", fails in both at the next chunk; a body that
+# ends without its trailers' blank line, or with the last chunk's line cut
+# short, is whole in both.
+@settings(max_examples=200)
+@given(body=chunked_bodies())
+@example(body=b"0x5;ext=1\r\nhello\r\n+0_3\r\nabc\r\n-0\r\n\r\n")
+@example(body=b" 5 ; x\r\nhello\r\n0\r\nExpires: never\r\n")
+@example(body=b"-5\r\nhello\r\n0\r\n\r\n")
+@example(body=b"5\r\nhel")
+@example(body=b"9\r\nhello\r\n0\r\n\r\n")
+@example(body=b"1000000000000000000\r\nhello\r\n0\r\n\r\n")
+@example(body=b"5\r\nhello\r\n0")
+@example(body=OVER_LONG.encode() + b"5\r\nhello\r\n0\r\n\r\n")
+@example(body=b"5\r\nhello\r\n0\r\n" + b"x" * 70_000 + b"\r\n\r\n")
+def test_read_chunked_fails_only_to_receive_and_reads_what_http_client_reads(body):
+    data = CHUNKED_HEAD + body
+    try:
+        status, got, _ = _read_response(io.BufferedReader(io.BytesIO(data)))
+        ours = status, got
+    except (OSError, http.client.HTTPException):
+        ours = None
+    assert ours == http_client_read(data, _CappedSocket)
 
 
 def test_http_header_line_over_the_limit_is_retried_as_a_failure_to_receive(stub, connect):

@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowtune.backend import Budget, Message, ChatRequest, Purpose, ScriptedMockBackend
 from flowtune.config import (
@@ -323,3 +325,161 @@ def test_readme_config_example_loads(tmp_path):
          "datasets": {split: str(tmp_path.resolve() / name)
                       for split, name in example["datasets"].items()}}))
     assert build_runtime(cfg).tools.names()
+
+
+# --- generated config files ----------------------------------------------------
+
+# Values of any JSON kind, finite or not, small or past a float.
+ANY_VALUE = st.sampled_from([None, True, False, 0, 1, 2, -1, 0.5, -0.0, 1e308, 10**400,
+                             float("inf"), float("nan"), "", "x", "0.40", [], ["x"], {}, {"x": 1}])
+# Per key, values it takes, then values near them that it may not take. A
+# key after "@" names its section where the name alone would be ambiguous.
+KEY_VALUES = {
+    "metric": (["exact_match", "token_f1"], ["vibes"]),
+    "templates_dir": (["templates", None], ["missing", "corpus.jsonl"]),
+    "loop_sentinel": (["DONE", ""], []),
+    "concurrency": ([1, 3], [0, 10**400]),
+    "mode": (["full", "prompt_only", "no_bilevel"], ["warp"]),
+    "seed": ([0, 7, None], [-1, 10**400]),
+    "val_subsample": ([1, 3, None], [0]),
+    "keep_traces": ([True, False], []),
+    "kind": (["scripted-mock", "http", "replay"], ["telepathy"]),
+    "script": (["echo", "canned"], ["improv"]),
+    "endpoint": (["http://127.0.0.1:9/v1", "https://h.invalid"],
+                 ["ftp://h", "http://[::1", "http://h:99999", "http://h b", "http://"]),
+    "api_key_env": (["", "FLOWTUNE_UNSET_KEY"], []),
+    "timeout_s": ([0.5, 60], [0, 1e10, 1e300]),
+    "max_attempts": ([1, 3], [0, 10**400]),
+    "store_path": (["store.jsonl"], ["missing.jsonl"]),
+    "mode@backend": (["replay"], ["record"]),
+    "record_path": ([None], ["store.jsonl"]),
+    "executor_model": (["m", ""], []),
+    "meta_model": (["m", ""], []),
+    "executor_temperature": ([0, 0.2], [-0.5, 1e308]),
+    "meta_temperature": ([0, 0.2], [-0.5, 1e308]),
+    "max_output_tokens": ([1, 64], [0, 10**400]),
+    "input_per_1m": (["0.40", 2, "1e-99", 1e-7], ["-1", "1e999999999", "1e-999999999", "1e99",
+                                                  "1" * 5000, "NaN", "Infinity", "abc", 1e308,
+                                                  5e-324]),
+    "output_per_1m": (["0.40", 2, "-0"], ["1e999999999"]),
+    "max_calls": ([1, 50, None], [0, 10**400]),
+    "max_cost_usd": ([0.5, 2, None], [0, 1e300, 1e303, 10**400]),
+    "enabled": ([[], ["search_topk"], ["a", "b"]], [["a", "a"], [1]]),
+    "corpus_path": (["corpus.jsonl", None], ["missing.jsonl"]),
+    "top_k_default": ([1, 5], [0, 10**400]),
+    "train": (["train.jsonl", None], []),
+    "val": (["val.jsonl"], []),
+}
+INTS = ("batch_size", "bilevel_rounds_per_batch", "inner_steps_per_round",
+        "outer_steps_per_round", "epochs")
+KEY_VALUES.update(dict.fromkeys(INTS, ([1, 2], [0, 10**400])))
+SECTIONS = {
+    "backend": ("kind", "script", "endpoint", "api_key_env", "timeout_s", "max_attempts",
+                "store_path", "mode@backend", "record_path"),
+    "models": ("executor_model", "meta_model", "executor_temperature", "meta_temperature",
+               "max_output_tokens"),
+    "schedule": INTS,
+    "budget": ("max_calls", "max_cost_usd"),
+    "tools": ("enabled", "corpus_path", "top_k_default"),
+    "datasets": ("train", "val"),
+}
+TOP = ("metric", "templates_dir", "loop_sentinel", "concurrency", "mode", "seed",
+       "val_subsample", "keep_traces")
+# Stands for a value nested deeper than `json` reads, put in after dumping.
+DEEP = "@deep@"
+VALUE_KINDS = st.sampled_from(["good"] * 340 + ["bad"] * 40 + ["any"] * 19 + ["deep"])
+ONE_IN_20 = st.sampled_from([False] * 19 + [True])
+
+
+@st.composite
+def values(draw, key):
+    """Mostly a value the key takes; now and then one that it nearly takes,
+    or any value, or one nested too deep."""
+    good, bad = KEY_VALUES[key]
+    kind = draw(VALUE_KINDS)
+    if kind == "deep":
+        return DEEP
+    if kind == "any":
+        return draw(ANY_VALUE)
+    return draw(st.sampled_from(bad if kind == "bad" and bad else good))
+
+
+@st.composite
+def config_objects(draw):
+    """A config object: some top-level keys and sections, each key with a
+    value from `values`, now and then an unknown key or a section that is
+    no object."""
+    obj = {key: draw(values(key)) for key in draw(st.lists(st.sampled_from(TOP), unique=True))}
+    for name in draw(st.lists(st.sampled_from(sorted(SECTIONS) + ["prices"]), unique=True)):
+        if draw(ONE_IN_20):
+            obj[name] = draw(ANY_VALUE)
+            continue
+        keys = SECTIONS.get(name, ("input_per_1m", "output_per_1m"))
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        if name == "backend" and "kind" not in chosen and not draw(ONE_IN_20):
+            chosen.insert(0, "kind")
+        section = {key.partition("@")[0]: draw(values(key)) for key in chosen}
+        obj[name] = {"m": section} if name == "prices" else section
+    if draw(ONE_IN_20):
+        where = draw(st.sampled_from([obj] + [v for v in obj.values() if type(v) is dict]))
+        where["surprise"] = 1
+    return obj
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """A directory with a corpus, an empty store and an empty templates
+    directory, which generated configs name."""
+    root = tmp_path_factory.mktemp("generated")
+    (root / "corpus.jsonl").write_text(json.dumps({"doc_id": "d", "title": "t", "body": "b"}))
+    (root / "store.jsonl").write_text("")
+    (root / "templates").mkdir()
+    return root
+
+
+@settings(max_examples=100)
+@given(obj=config_objects())
+@example(obj={"backend": {"kind": []}})
+@example(obj={"budget": {"max_cost_usd": 1e303}})
+@example(obj={"tools": {"enabled": ["a", "a"], "corpus_path": "corpus.jsonl"}})
+def test_a_generated_config_builds_or_is_a_config_error(config_dir, obj):
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(obj).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000))
+    try:
+        runtime = build_runtime(load_config(path))
+    except ConfigError:
+        return
+    runtime.close()
+
+
+# Before, a list for backend.kind raised TypeError, a cost cap past a float
+# in micro-dollars OverflowError, and a tool named twice ValueError; a timeout
+# no socket takes ended the run at its first call with OverflowError; and a
+# price of 1e999999999 did not build in minutes (1e9999999 took 8 s).
+@pytest.mark.parametrize("patch,key", [
+    ({"backend": {"kind": []}}, "backend.kind"),
+    ({"budget": {"max_cost_usd": 1e303}}, "budget.max_cost_usd"),
+    ({"tools": {"enabled": ["a", "a"], "corpus_path": "corpus.jsonl"}}, "tools.enabled"),
+    ({"backend": {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "timeout_s": 1e10}},
+     "backend.timeout_s"),
+    ({"prices": {"m": {"input_per_1m": "1e999999999", "output_per_1m": 0}}},
+     "prices.m.input_per_1m"),
+    ({"prices": {"m": {"input_per_1m": 0, "output_per_1m": "1e-999999999"}}},
+     "prices.m.output_per_1m"),
+], ids=["kind-list", "huge-cost-cap", "tool-twice", "huge-timeout", "huge-price", "tiny-price"])
+def test_a_value_that_crashed_or_hung_is_a_config_error_and_train_exits_2(tmp_path, patch, key):
+    from click.testing import CliRunner
+
+    from flowtune.cli import main
+
+    from .test_cli import write_toy_config
+
+    config_path = write_toy_config(tmp_path, extra=patch)
+    (tmp_path / "corpus.jsonl").write_text(json.dumps({"doc_id": "d", "title": "t", "body": "b"}))
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        build_runtime(load_config(config_path))
+    run_dir = tmp_path / "run"
+    result = CliRunner().invoke(main, ["train", "--config", str(config_path),
+                                       "--run-dir", str(run_dir)])
+    assert result.exit_code == 2, result.output
+    assert not run_dir.exists()

@@ -288,6 +288,47 @@ def test_a_pruned_search_scores_only_the_candidates():
     assert index.search_topk("common rare", 11) == ScanIndex(docs).search_topk("common rare", 11)
 
 
+class CountingTuple(tuple):
+    """A tuple that counts the entries read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_a_pruned_search_reads_only_the_candidates_counts_of_the_longest_posting():
+    # Every document is 4 tokens long and holds "common" 1-3 times; 10 also
+    # hold "rare", and outscore any document holding "common" alone.
+    docs = [CorpusDoc(f"d{i:04d}", "", " ".join(["common"] * (1 + i % 3) + ["pad"] * (2 - i % 3)
+                                                + ["rare" if i % 100 == 0 else "pad"]))
+            for i in range(1000)]
+    index = CorpusIndex(docs)
+    ids, tfs = index._postings["common"]
+    index._postings["common"] = (ids, counting := CountingTuple(tfs))
+    hits = index.search_topk("common rare", 5)
+    assert hits == ScanIndex(docs).search_topk("common rare", 5)
+    assert 0 < counting.reads <= 10
+
+
+@settings(max_examples=100)
+@given(docs=pruning_corpora())
+def test_the_index_records_the_highest_count_of_each_term_that_repeats(docs):
+    index = CorpusIndex(docs)
+    assert index._max_tf.keys() <= index._postings.keys()
+    for term, (_, tfs) in index._postings.items():
+        if term in index._max_tf:
+            assert index._max_tf[term] == max(tfs)
+        else:
+            assert set(tfs) == {1}
+
+
 @settings(max_examples=500)
 @given(st.text())
 def test_tokenize_matches_the_regular_expression(text):
