@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
 from .model import compact_json
-from .store import RunLedger
+from .store import RunLedger, append_line
 
 logger = logging.getLogger(__name__)
 
@@ -564,10 +564,11 @@ class ReplayBackend:
     same failure, in its place. A missing store is an empty one; the `key`
     that earlier versions wrote in each row is ignored.
 
-    Both modes keep the serial order. Record mode writes a pool item's rows
-    when the item is committed, and waits as its inner backend does.
-    Replay mode answers from memory and never waits, so fan-outs over it run
-    inline, in serial order, and its cursors need no lock.
+    Both modes keep the serial order. Record mode writes each call's row
+    before the call's ledger row (see `RunDirectory`): an inline call's at
+    once, a pool item's when the item is committed. It waits as its inner
+    backend does. Replay mode answers from memory and never waits, so
+    fan-outs over it run inline, in serial order, and its cursors need no lock.
     """
 
     def __init__(self, store_path: str | Path, mode: str, inner: Backend | None = None):
@@ -695,19 +696,7 @@ class ReplayBackend:
             },
             **outcome,
         }
-        at_commit(lambda line=compact_json(row): self._write(line))
-
-    def _write(self, line: str) -> None:
-        """Append one row, with one system call unless the file takes it in
-        parts, on a descriptor opened around it, so that no handle outlives
-        the call."""
-        data = (line + "\n").encode("utf-8")
-        fd = os.open(self.store_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        at_commit(lambda line=compact_json(row): append_line(self.store_path, line))
 
     def close(self) -> None:
         """Close the recorded backend's connections, if it keeps any."""

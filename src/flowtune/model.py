@@ -55,6 +55,14 @@ def json_text(value, what: str) -> str:
     return str(value)
 
 
+def _json_texts(value, what: str) -> tuple[str, ...]:
+    """The items of `value`, each read by `json_text`, if it is a JSON array;
+    anything else, a string included, is a ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return tuple([json_text(item, what) for item in value])
+
+
 def canonical_json(obj) -> str:
     """Stable JSON for files: sorted keys, UTF-8 text, LF lines, trailing newline."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
@@ -402,20 +410,20 @@ def state_from_json_obj(obj: dict) -> WorkflowState:
     sketch = tuple(
         StepSpec(
             step_id=json_int(s["step_id"], "step_id"),
-            description=str(s["description"]),
-            executor_name=str(s["executor_name"]),
-            tool_names=tuple(str(t) for t in s.get("tools", [])),
+            description=json_text(s["description"], "description"),
+            executor_name=json_text(s["executor_name"], "executor_name"),
+            tool_names=_json_texts(s.get("tools", []), "tools"),
             control=control_from_json(s.get("control", {"kind": "sequential"})),
         )
         for s in obj["sketch"]
     )
     executors = {
         name: ExecutorSpec(
-            name=str(e["name"]),
-            kind=str(e["kind"]),
-            description=str(e["description"]),
-            prompt=str(e["prompt"]),
-            tool_names=tuple(str(t) for t in e.get("tool_names", [])),
+            name=json_text(e["name"], "name"),
+            kind=json_text(e["kind"], "kind"),
+            description=json_text(e["description"], "description"),
+            prompt=json_text(e["prompt"], "prompt"),
+            tool_names=_json_texts(e.get("tool_names", []), "tool_names"),
             version=json_int(e.get("version", 0), "version"),
         )
         for name, e in sorted(obj["executors"].items())
@@ -425,13 +433,13 @@ def state_from_json_obj(obj: dict) -> WorkflowState:
 
 
 def deserialize_state(text: str) -> WorkflowState:
-    """The state in `text`; text that is not JSON, or is nested past the
-    parser's recursion limit, is a ValueError."""
+    """The state in `text`; text that is not JSON, is nested past the
+    parser's recursion limit, or lacks the checkpoint's keys or their types
+    is a ValueError."""
     try:
-        obj = json.loads(text)
-    except RecursionError as e:
+        return state_from_json_obj(json.loads(text))
+    except (LookupError, TypeError, AttributeError, RecursionError) as e:
         raise ValueError(f"unreadable workflow state: {e!r}") from e
-    return state_from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------

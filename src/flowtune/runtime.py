@@ -182,6 +182,6 @@ class _Task:
             DEFERRED.reset(token)
 
     def commit(self) -> None:
-        self.rt.client.ledger.absorb(self.ledger)
         for action in self.deferred:
             at_commit(action)
+        self.rt.client.ledger.absorb(self.ledger)

@@ -125,6 +125,19 @@ def _ledger_line(idx: int, purpose: str, model_id: str, in_tok: int, out_tok: in
             f'"out_tok": {out_tok}, "cost_usd": {micro_to_usd_str(cost_micro)}, "ts": {ts}{end}')
 
 
+def _write_all(write, data: bytes) -> None:
+    """Hand data to `write` until it has taken all of it: a write may take a part."""
+    while data:
+        data = data[write(data):]
+
+
+def append_line(path: str | Path, line: str) -> None:
+    """Append one line of a run-directory log, with its end, on a handle
+    opened around the write, so that no handle outlives the call."""
+    with open(path, "ab", buffering=0) as f:
+        _write_all(f.write, (line + "\n").encode("utf-8"))
+
+
 class LedgerRow(NamedTuple):
     """One model call's row. A named tuple: it compares equal to the plain
     tuple of its fields, and a changed copy is made with `_replace`."""
@@ -163,7 +176,7 @@ class RunLedger:
 
     def open_sink(self, path: str | Path) -> None:
         """Append every row from here on to the file at path, unbuffered, so
-        that each write is one system call and reaches the file at once."""
+        that each row reaches the file when it is booked."""
         self._sink = open(path, "ab", buffering=0)
 
     def record_call(self, purpose: str, model_id: str, input_tokens: int,
@@ -179,7 +192,7 @@ class RunLedger:
         self._rows.append(row)
         self._cost_micro += cost
         if self._sink is not None:
-            self._sink.write(_ledger_line(*row).encode())
+            _write_all(self._sink.write, _ledger_line(*row).encode())
         return row
 
     def fork(self) -> "RunLedger":
@@ -197,7 +210,8 @@ class RunLedger:
                        for i, row in enumerate(fork._rows)]
         self._cost_micro += fork._cost_micro
         if fork._rows and self._sink is not None:
-            self._sink.write("".join([_ledger_line(*row) for row in self._rows[base:]]).encode())
+            _write_all(self._sink.write,
+                       "".join([_ledger_line(*row) for row in self._rows[base:]]).encode())
 
     @property
     def rows(self) -> tuple[LedgerRow, ...]:
@@ -259,7 +273,7 @@ INIT_CHECKPOINT = Path("checkpoints", "init.json")
 
 
 class RunDirectory:
-    """On-disk layout of one training run.
+    """On-disk layout of one training run, and the order it is written in.
 
     checkpoints/batch_{i}.json   one checkpoint per completed batch
     checkpoints/init.json        the given starting state, when the run did
@@ -271,24 +285,22 @@ class RunDirectory:
                                  answers from it
     traces/                      optional validation traces
     config.json                  resolved configuration, for replays
+
+    The logs only grow, by whole lines written in full (`_write_all`); other
+    files are replaced whole. A call's store row precedes its ledger row; a batch writes its
+    traces, checkpoint and record line, then best.json if it is the new best.
+    A kill keeps every write before it and may tear a log's last line, which
+    its reader reports as an unreadable row naming the file and the line.
+    Nothing is fsynced, so a machine that loses power keeps no such order.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "checkpoints").mkdir(exist_ok=True)
-
-    @property
-    def ledger_path(self) -> Path:
-        return self.root / "ledger.jsonl"
-
-    @property
-    def records_path(self) -> Path:
-        return self.root / "records.jsonl"
-
-    @property
-    def best_path(self) -> Path:
-        return self.root / "best.json"
+        self.ledger_path = self.root / "ledger.jsonl"
+        self.records_path = self.root / "records.jsonl"
+        self.best_path = self.root / "best.json"
 
     def checkpoint_path(self, batch_index: int) -> Path:
         return self.root / "checkpoints" / f"batch_{batch_index}.json"
@@ -301,8 +313,7 @@ class RunDirectory:
         _replace_file(self.best_path, self.checkpoint_path(batch_index).read_bytes())
 
     def append_record_line(self, line: str) -> None:
-        with open(self.records_path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+        append_line(self.records_path, line)
 
     def write_trace(self, batch_index: int, trace: model.ExecutionTrace) -> None:
         tdir = self.root / "traces" / f"batch_{batch_index}"

@@ -349,6 +349,39 @@ def test_inspect_rejects_a_number_that_is_not_an_integer(tmp_path, runner):
     assert "revision must be an integer" in result.output
 
 
+def malformed_checkpoint(fault: str) -> str:
+    obj = json.loads(serialize_state(chain_state(1)))
+    if fault == "a list":
+        obj = []
+    elif fault == "executors a list":
+        obj["executors"] = []
+    elif fault == "a step a number":
+        obj["sketch"] = [1]
+    elif fault == "sketch null":
+        obj["sketch"] = None
+    elif fault == "tools a number":
+        obj["sketch"][0]["tools"] = 5
+    elif fault == "description null":
+        obj["sketch"][0]["description"] = None
+    else:  # a tool step whose tools are one string, not a list of names
+        obj["sketch"][0]["tools"] = obj["executors"]["step_1"]["tool_names"] = "search"
+        obj["executors"]["step_1"]["kind"] = "ToolExecutor"
+    return json.dumps(obj)
+
+
+# The first five escaped as an AttributeError or TypeError; the last two
+# loaded, as the text "None" and as the tools s, e, a, r, c and h.
+@pytest.mark.parametrize("fault", ["a list", "executors a list", "a step a number",
+                                   "sketch null", "tools a number", "description null",
+                                   "tools a string"])
+def test_inspect_rejects_a_checkpoint_of_the_wrong_shape(tmp_path, runner, fault):
+    path = tmp_path / "ck.json"
+    path.write_text(malformed_checkpoint(fault))
+    result = runner.invoke(main, ["inspect", "--checkpoint", str(path)])
+    assert result.exit_code == 2, result.exception
+    assert "invalid checkpoint: " in result.output
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 replay runs inline in item order, and budgets hold under a thread pool."""
 
 import hashlib
+import json
 import re
 import sys
 import threading
@@ -214,12 +215,49 @@ def test_a_samples_gradients_start_while_another_sample_is_still_forwarded(tmp_p
                                MODE_PROMPT_ONLY))
 
 
-def test_record_store_rows_follow_serial_order(tmp_path):
-    stores = {}
+class StoreFirstSink:
+    """A ledger sink that notes every write which would leave the ledger
+    with more rows than the store holds."""
+
+    def __init__(self, sink, store: Path):
+        self.sink = sink
+        self.store = store
+        self.rows = 0
+        self.ahead: list[tuple[int, int]] = []
+
+    def write(self, data: bytes):
+        self.rows += data.count(b"\n")
+        stored = self.store.read_bytes().count(b"\n") if self.store.exists() else 0
+        if stored < self.rows:
+            self.ahead.append((self.rows, stored))
+        return self.sink.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sink, name)
+
+
+def test_record_store_rows_follow_serial_order(tmp_path, monkeypatch):
+    stores, sinks = {}, []
+    open_sink = RunLedger.open_sink
+
+    def checked_open_sink(ledger, path):
+        open_sink(ledger, path)
+        ledger._sink = StoreFirstSink(ledger._sink, store)
+        sinks.append(ledger._sink)
+
+    monkeypatch.setattr(RunLedger, "open_sink", checked_open_sink)
     for c in (1, 8):
-        stores[c] = tmp_path / f"store{c}.jsonl"
-        run(ReplayBackend(stores[c], RECORD, inner=ScriptedMockBackend(pure_script)),
-            tmp_path / f"record{c}", c)
+        store = stores[c] = tmp_path / f"store{c}.jsonl"
+        root = run(ReplayBackend(store, RECORD, inner=ScriptedMockBackend(pure_script)),
+                   tmp_path / f"record{c}", c)
+        # Each call's store row lands before its ledger row, inline and on the pool.
+        assert sinks[-1].ahead == []
+        rows = [json.loads(line) for line in store.read_text().splitlines()]
+        assert [(row["request"]["purpose"], row["request"]["model_id"],
+                 row["response"]["input_tokens"], row["response"]["output_tokens"])
+                for row in rows if "response" in row] == [
+            (row["purpose"], row["model"], row["in_tok"], row["out_tok"])
+            for row in map(json.loads, (root / "ledger.jsonl").read_text().splitlines())]
     assert stores[8].read_bytes() == stores[1].read_bytes()
 
 

@@ -1,5 +1,6 @@
 """The JSON-lines readers against reference readers: `load_corpus`,
-`load_dataset` and the replay store that `ReplayBackend` loads.
+`load_dataset` and the replay store that `ReplayBackend` loads; and
+`load_checkpoint` on spoiled checkpoints.
 
 Each generated file either loads to exactly what the reference yields, or is
 a ValueError naming the file and the first bad line. The reference reads a
@@ -15,7 +16,11 @@ from hypothesis import strategies as st
 
 from flowtune.backend import REPLAY, ChatResponse, ReplayBackend
 from flowtune.evaluation import load_dataset
+from flowtune.model import Loop, Route, StepSpec, WorkflowState, serialize_state, validate_state
+from flowtune.store import load_checkpoint
 from flowtune.tools import load_corpus
+
+from .helpers import chain_state, llm_executor, tool_executor
 
 CORPUS_KEYS = ("doc_id", "title", "body")
 DATASET_KEYS = ("id", "question", "answer")
@@ -261,3 +266,59 @@ def test_a_replay_store_loads_what_the_reference_reads(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "store.jsonl"
     check(path, data, store_entry, read_store,
           lambda n: f"replay store {path}, line {n}: ")
+
+
+# --- checkpoints -------------------------------------------------------------
+
+STATES = [chain_state(1), chain_state(3, revision=2), WorkflowState(
+    sketch=(StepSpec(1, "route", "router", control=Route({"a": 3, "b": 2})),
+            StepSpec(2, "look up", "search", tool_names=("search",)),
+            StepSpec(3, "answer", "writer", control=Loop(2))),
+    executors={e.name: e for e in (llm_executor("router"), tool_executor("search", ("search",)),
+                                   llm_executor("writer"))},
+    revision=1)]
+# As JSON text, so that no drawn list or object is shared between examples.
+ANY_VALUE = st.sampled_from(['null', 'true', 'false', '[]', '["a"]', '{}', '{"kind": "loop"}',
+                             '0', '-1', '2.5', '1e20', '""', '"step_1"', '"ToolExecutor"'])
+
+
+def json_paths(obj, at=()):
+    """The path of `obj` and of every value inside it."""
+    yield at
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from json_paths(value, at + (key,))
+
+
+@st.composite
+def spoiled_checkpoints(draw):
+    """A valid state's checkpoint with a key dropped, a value swapped for
+    another kind of value, or a value nested, one to three times."""
+    holder = {"state": json.loads(serialize_state(draw(st.sampled_from(STATES))))}
+    for _ in range(draw(st.integers(1, 3))):
+        *where, key = draw(st.sampled_from(list(json_paths(holder))[1:]))
+        parent = holder
+        for step in where:
+            parent = parent[step]
+        kind = draw(st.sampled_from(["drop", "swap", "nest"]))
+        if kind == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif kind == "nest":
+            parent[key] = draw(st.sampled_from([[parent[key]], {"kind": parent[key]}]))
+        else:
+            parent[key] = json.loads(draw(ANY_VALUE))
+        if "state" not in holder:
+            break
+    return json.dumps(holder.get("state"))
+
+
+@settings(max_examples=150)
+@given(text=spoiled_checkpoints())
+def test_a_spoiled_checkpoint_loads_a_valid_state_or_is_a_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "checkpoint.json"
+    path.write_text(text)
+    try:
+        state = load_checkpoint(path)
+    except ValueError:
+        return
+    assert validate_state(state) == []

@@ -278,20 +278,24 @@ def test_one_steps_prompt_updates_render_the_sketch_once(monkeypatch):
 # Validation tracking and best selection
 # ---------------------------------------------------------------------------
 
-def scripted_scores_train(tmp_path, scores, monkeypatch):
-    """Run one batch per score with evaluation stubbed to the given sequence."""
+def scripted_scores_train(tmp_path, scores, monkeypatch, keep_traces=False):
+    """Run one batch per score with evaluation stubbed to the given sequence;
+    with `keep_traces`, each validation also runs, to write its traces."""
     import flowtune.trainer as trainer_module
 
     queue = list(scores)
+    real_evaluate = trainer_module.evaluate
 
     def fake_evaluate(rt, state, dataset, metric_name, trace_sink=None):
+        if trace_sink is not None:
+            real_evaluate(rt, state, dataset, metric_name, trace_sink=trace_sink)
         return EvalSummary(queue.pop(0), (PerSampleEval("v0", 1.0, "p", None),))
 
     monkeypatch.setattr(trainer_module, "evaluate", fake_evaluate)
     script = PurposeScript(standard_handlers("prompt_only"))
     rt = make_runtime(script)
     config = TrainConfig(batch_size=1, bilevel_rounds_per_batch=1, inner_steps_per_round=1,
-                         mode="prompt_only", seed=None)
+                         mode="prompt_only", seed=None, keep_traces=keep_traces)
     run_dir = RunDirectory(tmp_path / "run")
     result = train(rt, config, samples(len(scores)), samples(1, "v"), chain_state(1),
                    "exact_match", run_dir=run_dir)
@@ -319,6 +323,28 @@ def test_records_are_monotone_in_calls_and_cost(tmp_path, monkeypatch):
     row = json.loads(lines[0])
     assert set(row) == {"batch_index", "val_score", "revision", "api_calls_so_far",
                         "cost_so_far_usd", "timestamp"}
+
+
+def test_each_batch_writes_traces_checkpoint_record_then_best(tmp_path, monkeypatch):
+    writes = []
+
+    def spy(name, batch_of):
+        method = getattr(RunDirectory, name)
+
+        def spied(run_dir, *args):
+            writes.append((name, batch_of(*args)))
+            return method(run_dir, *args)
+        monkeypatch.setattr(RunDirectory, name, spied)
+
+    spy("write_trace", lambda batch_index, trace: batch_index)
+    spy("write_batch_checkpoint", lambda state, batch_index: batch_index)
+    spy("append_record_line", lambda line: json.loads(line)["batch_index"])
+    spy("promote_best", lambda batch_index: batch_index)
+    # Batch 1 is not a new best; batch 2 is.
+    scripted_scores_train(tmp_path, [0.4, 0.2, 0.7], monkeypatch, keep_traces=True)
+    assert writes == [write for batch in range(3) for write in [
+        ("write_trace", batch), ("write_batch_checkpoint", batch),
+        ("append_record_line", batch)] + [("promote_best", batch)] * (batch != 1)]
 
 
 def test_best_checkpoint_loads_and_validates(tmp_path, monkeypatch):
