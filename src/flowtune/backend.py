@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import selectors
 import threading
@@ -227,6 +228,9 @@ class ScriptedMockBackend:
 
 # Statuses a later attempt can succeed on; any other 4xx or 5xx fails at once.
 RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
+# Draws the retry waits. The OS seeds it, so that threads and processes do
+# not retry in step; no artifact holds a wait's length.
+_RETRY_JITTER = random.Random()
 
 
 class HttpBackend:
@@ -248,6 +252,11 @@ class HttpBackend:
     A failure to send or receive closes the connection, and the next attempt
     opens a new one. So does a server closing an idle connection, which is
     noticed before the connection is used again.
+
+    Such a failure, or a status in `RETRYABLE_STATUSES`, is retried. Retry n
+    waits a uniform draw from [0, backoff_base_s * 2**(n-1)], except the
+    last, which waits out the rest of backoff_base_s * (2**(max_attempts-1)
+    - 1); so a call that fails every attempt sleeps that total.
     """
 
     waits = True
@@ -354,9 +363,15 @@ class HttpBackend:
             "max_tokens": request.max_output_tokens,
         }).encode()
         last_error: Exception | None = None
+        slept = 0.0
         for attempt in range(self.max_attempts):
             if attempt:
-                self._sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                if attempt < self.max_attempts - 1:
+                    wait = _RETRY_JITTER.uniform(0.0, self.backoff_base_s * 2 ** (attempt - 1))
+                else:
+                    wait = self.backoff_base_s * (2 ** attempt - 1) - slept
+                slept += wait
+                self._sleep(wait)
             start = time.monotonic()
             try:
                 status, raw = self._post(body)

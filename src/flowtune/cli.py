@@ -155,7 +155,10 @@ def cmd_eval(checkpoint, dataset_path, metric_name, config_path) -> None:
     except (OSError, KeyError, ValueError) as e:  # ConfigError, DatasetError, bad checkpoints
         _fail(USAGE_EXIT, str(e))
     try:
+        require_valid(state, rt.tools.names())
         summary = evaluate(rt, state, samples, metric_name)
+    except InvalidStateError as e:
+        _fail(USAGE_EXIT, f"invalid checkpoint: {e}")
     except Exception as e:  # noqa: BLE001
         _fail(RUNTIME_EXIT, str(e))
     finally:
@@ -190,7 +193,7 @@ def cmd_curve(run_dir) -> None:
 
 @main.command("inspect")
 @click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--prompt-chars", default=60, show_default=True,
+@click.option("--prompt-chars", default=60, show_default=True, type=click.IntRange(min=0),
               help="Prompt excerpt length per row.")
 def cmd_inspect(checkpoint, prompt_chars) -> None:
     """Render a checkpoint's sketch as a table; tool steps carry a (T) marker."""

@@ -672,7 +672,8 @@ def test_http_backend_retries_then_succeeds(stub, connect):
     backend = connect(max_attempts=3, sleep=sleeps.append)
     assert backend.complete(req("ping")).content == "stubbed reply text"
     assert len(stub.requests) == 3
-    assert sleeps == [0.5, 1.0]
+    assert len(sleeps) == 2 and 0.0 <= sleeps[0] <= 0.5
+    assert sum(sleeps) == pytest.approx(1.5)
     assert stub.connections == 1  # each 503's body is read, so the connection is reused
 
 
@@ -680,6 +681,45 @@ def test_http_backend_surfaces_after_attempts(stub, connect):
     stub.script = [503] * 5
     with pytest.raises(TransportError, match="after 2 attempts"):
         connect(max_attempts=2).complete(req("ping"))
+
+
+ANSWER = json.dumps({"choices": [{"message": {"content": "ok"}}],
+                     "usage": {"prompt_tokens": 2, "completion_tokens": 1}}).encode()
+
+
+def posting(replies, **kwargs) -> tuple[HttpBackend, list[float]]:
+    """An HTTP backend whose POSTs take their (status, body) from `replies`
+    in turn, opening no connection, and the list its waits go to."""
+    sleeps = []
+    backend = HttpBackend("http://127.0.0.1:9", sleep=sleeps.append, **kwargs)
+    answers = iter(replies)
+    backend._post = lambda body: next(answers)
+    return backend, sleeps
+
+
+@pytest.mark.parametrize("attempts", [2, 3, 4, 5])
+def test_http_a_call_that_always_fails_sleeps_the_whole_backoff_then_gives_up(attempts):
+    backend, sleeps = posting([(503, b"")] * attempts, max_attempts=attempts,
+                              backoff_base_s=0.25)
+    with pytest.raises(TransportError, match=re.escape(
+            f"chat completion failed after {attempts} attempts: HTTP 503")):
+        backend.complete(req("ping"))
+    assert len(sleeps) == attempts - 1
+    assert sum(sleeps) == pytest.approx(0.25 * (2 ** (attempts - 1) - 1))
+    for n, wait in enumerate(sleeps[:-1], 1):  # the jittered waits, under their caps
+        assert 0.0 <= wait <= 0.25 * 2 ** (n - 1)
+    assert sleeps[-1] >= 0.25 * 2 ** (attempts - 2)  # the last keeps its time
+    if attempts == 2:
+        assert sleeps == [0.25]  # the one retry is the last, so it is not jittered
+
+
+def test_http_first_retry_waits_are_jittered_under_the_base_backoff():
+    backend, sleeps = posting([(503, b""), (200, ANSWER)] * 50, max_attempts=3)
+    for _ in range(50):
+        assert backend.complete(req("ping")).content == "ok"
+    assert len(sleeps) == 50
+    assert all(0.0 <= wait <= 0.5 for wait in sleeps)
+    assert len(set(sleeps)) > 1
 
 
 @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
@@ -727,6 +767,60 @@ def test_http_json_nested_too_deep_is_an_unreadable_response(stub, connect, deep
     with pytest.raises(TransportError, match="unreadable.*RecursionError"):
         connect(max_attempts=3).complete(req("ping"))
     assert len(stub.requests) == 1
+
+
+DEEP = "\x00deep"  # stands for a value nested too deep to decode
+token_counts = st.integers(-3, 2 ** 70) | st.floats() | st.integers(0, 99).map(float)
+# Where a reply can go wrong: a field's path in the OpenAI shape.
+REPLY_FIELDS = [("choices",), ("choices", 0), ("choices", 0, "message"),
+                ("choices", 0, "message", "content"), ("usage",),
+                ("usage", "prompt_tokens"), ("usage", "completion_tokens")]
+
+
+@st.composite
+def reply_bodies(draw) -> bytes:
+    """A 200 reply's body: mostly an OpenAI-shaped JSON object, one of whose
+    fields may be missing, of another JSON type or nested too deep, encoded
+    in UTF-8 or UTF-16, maybe with an invalid byte spliced in; sometimes
+    another JSON value, or any bytes at all."""
+    shape = draw(st.integers(0, 9))
+    if shape == 9:
+        return draw(st.binary(max_size=40))
+    body = draw(json_values) if shape == 8 else {
+        "choices": [{"message": {"content": draw(st.text(max_size=10))}}],
+        "usage": {"prompt_tokens": draw(token_counts), "completion_tokens": draw(token_counts)}}
+    if shape < 4:
+        *path, key = draw(st.sampled_from(REPLY_FIELDS))
+        parent = body
+        for step in path:
+            parent = parent[step]
+        fault = draw(st.sampled_from(["drop", "swap", "deep"]))
+        if fault == "drop":
+            del parent[key]
+        else:
+            parent[key] = draw(json_values) if fault == "swap" else DEEP
+    text = json.dumps(body, ensure_ascii=False).replace(json.dumps(DEEP),
+                                                        "[" * 100_000 + "]" * 100_000)
+    raw = text.encode(draw(st.sampled_from(["utf-8", "utf-8", "utf-16"])))
+    if draw(st.integers(0, 3)) == 3:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    return raw
+
+
+@settings(max_examples=200)
+@given(body=reply_bodies())
+@example(body=ANSWER)
+def test_http_a_reply_body_gives_a_response_or_an_unreadable_response_error(body):
+    backend, _ = posting([(200, body)], max_attempts=1)
+    try:
+        response = backend.complete(req("ping"))
+    except TransportError as e:
+        assert str(e).startswith("unreadable chat completion response")
+        return
+    assert type(response.content) is str
+    for count in (response.input_tokens, response.output_tokens):
+        assert type(count) is int and count >= 0
 
 
 def test_http_usage_of_whole_floats_reads_as_ints(stub, connect):

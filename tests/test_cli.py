@@ -334,6 +334,17 @@ def test_inspect_single_step_state(tmp_path, runner):
     assert len([l for l in result.output.splitlines() if l and l[0].isdigit()]) == 1
 
 
+def test_inspect_refuses_a_negative_prompt_length(tmp_path, runner):
+    from flowtune.store import write_checkpoint
+
+    path = tmp_path / "ck.json"
+    write_checkpoint(chain_state(1), path)
+    result = runner.invoke(main, ["inspect", "--checkpoint", str(path), "--prompt-chars", "-10"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--prompt-chars" in result.stderr
+
+
 def test_inspect_rejects_garbage(tmp_path, runner):
     path = tmp_path / "junk.json"
     path.write_text("{}")
@@ -490,6 +501,31 @@ def test_eval_with_a_missing_replay_store_exits_2(tmp_path, runner):
                                   "--metric", "exact_match", "--config", str(config_path)])
     assert result.exit_code == 2
     assert "backend.store_path not found" in result.output
+
+
+def test_eval_of_a_checkpoint_naming_an_unregistered_tool_exits_2_as_train_does(tmp_path, runner):
+    from flowtune.model import StepSpec, WorkflowState
+    from flowtune.store import write_checkpoint
+
+    from .helpers import tool_executor
+
+    config_path = write_toy_config(tmp_path)  # registers no tool
+    exe = tool_executor("step_1", ("search_topk",))
+    state = WorkflowState(sketch=(StepSpec(1, "search", exe.name, exe.tool_names),),
+                          executors={exe.name: exe})
+    checkpoint = tmp_path / "ckpt.json"
+    write_checkpoint(state, checkpoint)
+    eval_result = runner.invoke(main, ["eval", "--checkpoint", str(checkpoint),
+                                       "--dataset", str(tmp_path / "val.jsonl"),
+                                       "--metric", "exact_match", "--config", str(config_path)])
+    train_result = runner.invoke(main, ["train", "--config", str(config_path),
+                                        "--run-dir", str(tmp_path / "run"),
+                                        "--init-checkpoint", str(checkpoint)])
+    for result in (eval_result, train_result):
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr.strip())["error"]
+        assert error.startswith("invalid checkpoint: ") and "search_topk" in error
+    assert eval_result.stdout == ""
 
 
 def canned_reply(body: dict) -> str:

@@ -223,6 +223,7 @@ def pruning_corpora(draw):
     document, or each to its own between 1 and 40."""
     equal = draw(st.booleans())
     shared = draw(st.integers(7, 40))
+    shuffle = random.Random(draw(st.integers(0, 2 ** 32 - 1))).shuffle
     docs = []
     for i in range(draw(st.integers(4, 30))):
         tokens = ["common"] * draw(st.sampled_from([0, 1, 1, 1, 2, 3, 4]))
@@ -230,7 +231,8 @@ def pruning_corpora(draw):
                                         ("alpha", "beta"), ("gamma", "gamma")]))
         target = shared if equal else draw(st.integers(1, 40))
         tokens += ["pad"] * (target - len(tokens))
-        docs.append(CorpusDoc(f"d{i:02d}", "", " ".join(draw(st.permutations(tokens)))))
+        shuffle(tokens)
+        docs.append(CorpusDoc(f"d{i:02d}", "", " ".join(tokens)))
     return docs
 
 
