@@ -35,8 +35,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
-from .model import compact_json
-from .store import RunLedger, append_line
+from .model import compact_json, json_number
+from .store import RunLedger, append_line, read_rows
 
 logger = logging.getLogger(__name__)
 
@@ -125,15 +125,6 @@ def _token_count(value) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"token count must be a whole number >= 0, got {value!r}")
     return value
-
-
-def _seconds(value) -> float:
-    """A booked latency: a JSON number, as a float. Anything else, a bool or
-    a string included, is a TypeError, and an integer too large for a float
-    an OverflowError."""
-    if type(value) is not float and type(value) is not int:
-        raise TypeError(f"latency_s is not a number: {value!r}")
-    return float(value)
 
 
 class Backend(Protocol):
@@ -563,21 +554,46 @@ RECORD = "record"
 REPLAY = "replay"
 
 
+def _store_row(row) -> tuple[int, ChatResponse | str]:
+    """A store row's identity hash and entry, its response or its recorded
+    error's message; no request is kept. A value of the wrong kind, such as
+    an array or object in the identity, raises a BAD_ROW error."""
+    resp = row.get("response")
+    text = row["error"] if resp is None else resp["content"]
+    if type(text) is not str:
+        raise TypeError(f"content is not a string: {text!r}")
+    entry = text if resp is None else ChatResponse(
+        content=text,
+        input_tokens=_token_count(resp.get("input_tokens", 0)),
+        output_tokens=_token_count(resp.get("output_tokens", 0)),
+        latency_s=json_number(resp.get("latency_s", 0.0), "latency_s"),
+    )
+    req = row["request"]
+    if type(req["messages"]) is not list:
+        raise TypeError(f"messages is not a list: {req['messages']!r}")
+    messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
+    # An array or object in the identity is unhashable.
+    return hash(_identity(req["model_id"], messages, req["temperature"])), entry
+
+
 class ReplayBackend:
     """Record mode persists (request, outcome) rows; replay mode serves them.
 
     A call is identified by its request (`_identity`). Replay serves rows in
     file order while each call's identity hashes as the next row's does;
-    from the first that does not, or past the last row, it reads the store
-    again and serves by identity, so a store written out of serial order
-    still replays. By identity, repeated identical requests replay in
-    recorded order, sticking at the last recorded response once exhausted,
-    and an absent one fails loudly (`ReplayMissError`). The hash is 64 bits:
-    a request that differs from the next row still matches it with odds of
-    about 2**-64 per call. A call that failed with a `TransportError` is
-    recorded with its "error" in place of a response, and replays as the
-    same failure, in its place. A missing store is an empty one; the `key`
-    that earlier versions wrote in each row is ignored.
+    from the first that does not, or past the last row, it indexes the rows
+    it loaded by their identity hashes and serves by hash, so a store
+    written out of serial order still replays. By hash, repeated identical
+    requests replay in recorded order, sticking at the last recorded
+    response once exhausted, and an absent one fails loudly
+    (`ReplayMissError`). The hash is 64 bits: a request that differs from
+    the next row still matches it with odds of about 2**-64 per call, and
+    two requests whose hashes collide, with odds of about n**2 / 2**65
+    among n stored requests, share their rows. A call that failed with a
+    `TransportError` is recorded with its "error" in place of a response,
+    and replays as the same failure, in its place. The store is read once,
+    when replay starts; a missing store is an empty one, and the `key` that
+    earlier versions wrote in each row is ignored.
 
     Both modes keep the serial order. Record mode writes each call's row
     before the call's ledger row (see `RunDirectory`): an inline call's at
@@ -598,8 +614,8 @@ class ReplayBackend:
         # response, or the message of a recorded TransportError.
         self._rows: list[tuple[int, ChatResponse | str]] = []
         self._answered = 0  # the next row's index, while served by position
-        self._responses: dict[tuple, list[ChatResponse | str]] | None = None  # by identity
-        self._cursors: Counter[tuple] = Counter()
+        self._responses: dict[int, list[ChatResponse | str]] | None = None  # by hash
+        self._cursors: Counter[int] = Counter()
         if mode == REPLAY:
             self._load()
 
@@ -608,80 +624,37 @@ class ReplayBackend:
         return self.mode == RECORD and can_wait(self.inner)
 
     def _load(self) -> None:
-        """Keep each row's identity hash and entry; no request is kept."""
-        self._rows = list(self._read(hashed=True))
+        """Keep each row's `_store_row`; an unreadable row is a ValueError
+        naming the store and the line."""
+        if self.store_path.exists():
+            self._rows = [row for _, row in read_rows(
+                self.store_path, _store_row,
+                lambda line, reason: ValueError(f"replay store {self.store_path}, "
+                                                f"line {line}: {reason}"))]
 
-    def _read(self, hashed: bool = False):
-        """The store's (identity, entry) rows, or with `hashed` (identity
-        hash, entry) rows; a row that does not parse, such as a last line
-        cut short, not UTF-8, with data after its value, with content that
-        is not a string, with a token count that is not a whole number >= 0,
-        with a latency that is no number a float holds, with messages that
-        are not a list, or with an array or object for its model id or a
-        message's role or content, is a ValueError naming the store and the
-        line."""
-        if not self.store_path.exists():
-            return
-        # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
-        with open(self.store_path, "rb", buffering=1 << 16) as f:
-            for number, line in enumerate(f, 1):
-                try:
-                    line = line.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    row, end = _decode_at(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-                    resp = row.get("response")
-                    text = row["error"] if resp is None else resp["content"]
-                    if type(text) is not str:
-                        raise TypeError(f"content is not a string: {text!r}")
-                    entry = text if resp is None else ChatResponse(
-                        content=text,
-                        input_tokens=_token_count(resp.get("input_tokens", 0)),
-                        output_tokens=_token_count(resp.get("output_tokens", 0)),
-                        latency_s=_seconds(resp.get("latency_s", 0.0)),
-                    )
-                    req = row["request"]
-                    if type(req["messages"]) is not list:
-                        raise TypeError(f"messages is not a list: {req['messages']!r}")
-                    messages = tuple([(m["role"], m["content"]) for m in req["messages"]])
-                    identity = _identity(req["model_id"], messages, req["temperature"])
-                    key = hash(identity)  # an array or object in it is unhashable
-                except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
-                        OverflowError) as e:
-                    raise ValueError(f"replay store {self.store_path}, line {number}: "
-                                     f"unreadable row: {e!r}") from e
-                yield (key if hashed else identity), entry
-
-    def _by_identity(self, identity: tuple, request: ChatRequest) -> ChatResponse | str:
-        """The entry of `identity`; the first call reads the store again to
-        index the loaded rows, with the cursors where the rows served by
-        position left them."""
+    def _by_identity(self, key: int, request: ChatRequest) -> ChatResponse | str:
+        """The entry of the identity hashing to `key`; the first call indexes
+        the loaded rows by hash, cursors where serving by position left them."""
         if self._responses is None:
-            identities = [row_identity for _, (row_identity, _) in zip(self._rows, self._read())]
-            if [hash(row_identity) for row_identity in identities] != [h for h, _ in self._rows]:
-                raise ValueError(f"replay store {self.store_path} changed after it was loaded")
             self._responses = {}
-            for row_identity, (_, entry) in zip(identities, self._rows):
-                self._responses.setdefault(row_identity, []).append(entry)
-            self._cursors.update(identities[:self._answered])
-        recorded = self._responses.get(identity)
+            for row_key, entry in self._rows:
+                self._responses.setdefault(row_key, []).append(entry)
+            self._cursors.update([row_key for row_key, _ in self._rows[:self._answered]])
+        recorded = self._responses.get(key)
         if not recorded:
             raise ReplayMissError(request, self._answered)
-        cursor = self._cursors[identity]
-        self._cursors[identity] = cursor + 1
+        cursor = self._cursors[key]
+        self._cursors[key] = cursor + 1
         return recorded[min(cursor, len(recorded) - 1)]
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self.mode == REPLAY:
             i = self._answered
-            identity = _identity(request.model_id, request.messages, request.temperature)
-            if (self._responses is None and i < len(self._rows)
-                    and self._rows[i][0] == hash(identity)):
+            key = hash(_identity(request.model_id, request.messages, request.temperature))
+            if self._responses is None and i < len(self._rows) and self._rows[i][0] == key:
                 entry = self._rows[i][1]
             else:
-                entry = self._by_identity(identity, request)
+                entry = self._by_identity(key, request)
             self._answered = i + 1
             if isinstance(entry, str):
                 raise TransportError(entry)

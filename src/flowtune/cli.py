@@ -18,7 +18,7 @@ import click
 from .backend import RECORD, ReplayBackend
 from .config import ConfigError, RunConfig, build_runtime, load_config
 from .evaluation import DatasetError, Sample, get_metric, load_dataset, metric_info
-from .model import InvalidStateError, WorkflowState, require_valid
+from .model import InvalidStateError, WorkflowState, json_int, json_number, require_valid
 from .optimizer import BootstrapFailed, bootstrap_workflow
 from .runtime import Runtime
 from .store import (
@@ -26,6 +26,7 @@ from .store import (
     RunDirectory,
     load_checkpoint,
     micro_to_usd_str,
+    read_rows,
     write_checkpoint,
 )
 from .trainer import TrainResult, evaluate, make_batches, train
@@ -166,6 +167,14 @@ def cmd_eval(checkpoint, dataset_path, metric_name, config_path) -> None:
     print(json.dumps({"metric": metric_name, "mean": summary.mean_score, "n": len(samples)}))
 
 
+def _curve_row(row) -> tuple[int, float, int, str]:
+    """A run record's curve columns: counts as JSON integers, the rest as numbers."""
+    return (json_int(row["batch_index"], "batch_index"),
+            json_number(row["val_score"], "val_score"),
+            json_int(row["api_calls_so_far"], "api_calls_so_far"),
+            f'{json_number(row["cost_so_far_usd"], "cost_so_far_usd"):.6f}')
+
+
 @main.command("curve")
 @click.option("--run-dir", required=True, type=click.Path())
 def cmd_curve(run_dir) -> None:
@@ -173,20 +182,14 @@ def cmd_curve(run_dir) -> None:
     records_path = Path(run_dir) / "records.jsonl"
     if not records_path.exists():
         _fail(USAGE_EXIT, f"records file missing: {records_path}")
-    rows = []
-    with open(records_path, "rb") as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                if line.strip():
-                    row = json.loads(line.decode("utf-8"))
-                    rows.append((row["batch_index"], float(row["val_score"]),
-                                 row["api_calls_so_far"], f'{row["cost_so_far_usd"]:.6f}'))
-            except (ValueError, LookupError, TypeError, RecursionError) as e:
-                _fail(USAGE_EXIT, f"records {records_path}, line {line_no}: "
-                                  f"unreadable row: {e!r}")
+    try:
+        rows = list(read_rows(records_path, _curve_row, lambda line, reason: ValueError(
+            f"records {records_path}, line {line}: {reason}")))
+    except (OSError, ValueError) as e:
+        _fail(USAGE_EXIT, str(e))
     print("batch_index,val_score,best_so_far,calls,cost")
     best = None
-    for batch_index, score, calls, cost in rows:
+    for _, (batch_index, score, calls, cost) in rows:
         best = score if best is None else max(best, score)
         print(f"{batch_index},{score},{best},{calls},{cost}")
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import string
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .model import json_text
+from .store import read_rows
 
 ARTICLES = frozenset({"a", "an", "the"})
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -130,28 +130,21 @@ def load_dataset(path: str | Path) -> list[Sample]:
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
-    with open(path, "rb") as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-            except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
-                raise DatasetParseError(path, line_no, f"unreadable row: {e!r}") from e
-            if type(row) is not dict:
-                raise DatasetParseError(path, line_no, "row is not a JSON object")
-            for key in _SAMPLE_KEYS:
-                if key not in row:
-                    raise DatasetParseError(path, line_no, f"missing field {key!r}")
-            try:
-                sample = Sample(*[json_text(row[key], key) for key in _SAMPLE_KEYS])
-            except ValueError as e:
-                raise DatasetParseError(path, line_no, str(e)) from None
-            if sample.id in seen:
-                raise DuplicateIdError(path, line_no, sample.id)
-            if not sample.question:
-                raise DatasetParseError(path, line_no, "question is empty")
-            seen.add(sample.id)
-            samples.append(sample)
+    for line_no, row in read_rows(path, lambda row: row,
+                                  lambda line, reason: DatasetParseError(path, line, reason)):
+        if type(row) is not dict:
+            raise DatasetParseError(path, line_no, "row is not a JSON object")
+        for key in _SAMPLE_KEYS:
+            if key not in row:
+                raise DatasetParseError(path, line_no, f"missing field {key!r}")
+        try:
+            sample = Sample(*[json_text(row[key], key) for key in _SAMPLE_KEYS])
+        except ValueError as e:
+            raise DatasetParseError(path, line_no, str(e)) from None
+        if sample.id in seen:
+            raise DuplicateIdError(path, line_no, sample.id)
+        if not sample.question:
+            raise DatasetParseError(path, line_no, "question is empty")
+        seen.add(sample.id)
+        samples.append(sample)
     return samples

@@ -46,6 +46,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_number(value, what: str) -> float:
+    """`value` as a float if it is a JSON number; a bool or a string is a ValueError."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def json_text(value, what: str) -> str:
     """`value` as text if it is a JSON string or number, a number in its
     `str` form; null, a bool, an array or an object is a ValueError, not

@@ -10,7 +10,6 @@ format.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -20,8 +19,9 @@ from operator import add, itemgetter, mul, truediv
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .backend import JsonExtractError, Message, _decode_at, extract_json
+from .backend import JsonExtractError, Message, extract_json
 from .model import ExecutorSpec, TokenUsage, ToolInvocation, compact_json, json_text
+from .store import read_rows
 
 if TYPE_CHECKING:
     from .runtime import Runtime
@@ -76,6 +76,13 @@ def tokenize(text: str) -> list[str]:
     return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
+def _corpus_doc(row) -> CorpusDoc:
+    doc_id, title, body = row["doc_id"], row["title"], row["body"]
+    if type(doc_id) is not str or type(title) is not str or type(body) is not str:
+        doc_id, title, body = map(json_text, (doc_id, title, body), CorpusDoc._fields)
+    return CorpusDoc(doc_id, title, body)
+
+
 def load_corpus(path: str | Path) -> list[CorpusDoc]:
     """The documents of a JSON-lines corpus, one object with `doc_id`, `title`
     and `body` per line, each a JSON string or number (a number is indexed
@@ -84,26 +91,12 @@ def load_corpus(path: str | Path) -> list[CorpusDoc]:
     the corpus and the line."""
     docs: list[CorpusDoc] = []
     seen: set[str] = set()
-    # Bytes, decoded row by row, in blocks of 64 KiB: as fast as text mode.
-    with open(path, "rb", buffering=1 << 16) as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                row, end = _decode_at(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                doc_id, title, body = row["doc_id"], row["title"], row["body"]
-                if type(doc_id) is not str or type(title) is not str or type(body) is not str:
-                    doc_id, title, body = map(json_text, (doc_id, title, body), CorpusDoc._fields)
-            except (ValueError, LookupError, TypeError, RecursionError) as e:
-                raise ValueError(f"corpus {path}, line {line_no}: unreadable row: {e!r}") from e
-            if doc_id in seen:
-                raise DuplicateDocId(f"corpus {path}, line {line_no}: "
-                                     f"doc_id {doc_id!r} repeated")
-            seen.add(doc_id)
-            docs.append(CorpusDoc(doc_id, title, body))
+    for line_no, doc in read_rows(path, _corpus_doc, lambda line, reason: ValueError(
+            f"corpus {path}, line {line}: {reason}")):
+        if doc.doc_id in seen:
+            raise DuplicateDocId(f"corpus {path}, line {line_no}: doc_id {doc.doc_id!r} repeated")
+        seen.add(doc.doc_id)
+        docs.append(doc)
     return docs
 
 

@@ -34,6 +34,7 @@ from flowtune.model import (
 )
 from flowtune.runtime import ModelSettings, Runtime
 from flowtune.store import LogicalClock, PriceTable, RunLedger
+from flowtune.templates import load_templates
 from flowtune.tools import ToolRegistry
 
 
@@ -85,6 +86,10 @@ def system_content(request: ChatRequest) -> str:
     return request.messages[0].content if request.messages[0].role == "system" else ""
 
 
+# The packaged templates, read once: a library is read-only, so runtimes share it.
+TEMPLATES = load_templates()
+
+
 def make_runtime(script, tools: ToolRegistry | None = None,
                  prices: PriceTable | None = None, budget: Budget | None = None,
                  settings: ModelSettings | None = None, ledger_sink=None) -> Runtime:
@@ -94,6 +99,7 @@ def make_runtime(script, tools: ToolRegistry | None = None,
     return Runtime(
         client=client,
         settings=settings or ModelSettings(),
+        templates=TEMPLATES,
         tools=tools or ToolRegistry(),
         clock=clock,
     )

@@ -33,6 +33,7 @@ from flowtune.backend import (
     ScriptedMockBackend,
     TransportError,
     _environment_proxy,
+    _identity,
     _read_response,
     can_wait,
     echo_script,
@@ -492,17 +493,21 @@ def test_a_store_of_an_earlier_version_replays_by_request(tmp_path, order):
         ["call 1", "call 2", "call 3"]
 
 
-@pytest.mark.parametrize("rewrite", [lambda rows: rows[:1],
-                                     lambda rows: [rows[0], rows[1].replace('"b"', '"e"')]],
-                         ids=["shorter", "another-request"])
-def test_a_store_rewritten_before_the_first_fallback_fails_naming_it(tmp_path, rewrite):
+@pytest.mark.parametrize("rewrite", [lambda store, rows: store.write_text(rows[0]),
+                                     lambda store, rows: store.write_text(
+                                         rows[0] + rows[1].replace('"b"', '"e"')),
+                                     lambda store, rows: store.unlink()],
+                         ids=["shorter", "another-request", "deleted"])
+def test_a_store_rewritten_after_loading_serves_the_loaded_rows(tmp_path, rewrite):
     store = tmp_path / "store.jsonl"
     record(store, ["a", "b"])
     replayer = ReplayBackend(store, REPLAY)
-    store.write_text("".join(rewrite(store.read_text().splitlines(keepends=True))))
-    assert replayer.complete(req("a")).content == "reply to a"
-    with pytest.raises(ValueError, match=re.escape(f"replay store {store} changed")):
-        replayer.complete(req("c"))
+    rewrite(store, store.read_text().splitlines(keepends=True))
+    # Out of file order, so that every call is served by the fallback.
+    assert [replayer.complete(req(c)).content for c in "bab"] == \
+        ["reply to b", "reply to a", "reply to b"]
+    with pytest.raises(ReplayMissError):
+        replayer.complete(req("e"))
 
 
 @nested_too_deep
@@ -557,10 +562,14 @@ def test_a_request_of_messages_matches_the_pairs_a_store_row_decodes_to(tmp_path
     identity."""
     store = tmp_path / "store.jsonl"
     record(store, ["a", "b", "c"])
-    (identity, _), = list(ReplayBackend(store, REPLAY)._read())[:1]
-    assert [type(m) for m in identity[1]] == [tuple, tuple]
-    assert [type(m) for m in req("a").messages] == [Message, Message]
-    assert identity[1] == req("a").messages and hash(identity[1]) == hash(req("a").messages)
+    key, _ = ReplayBackend(store, REPLAY)._rows[0]
+    request = req("a")
+    pairs = tuple([(m.role, m.content) for m in request.messages])
+    assert [type(m) for m in pairs] == [tuple, tuple]
+    assert [type(m) for m in request.messages] == [Message, Message]
+    assert pairs == request.messages
+    assert key == hash(_identity("m", pairs, 0.0)) == \
+        hash(_identity(request.model_id, request.messages, request.temperature))
 
     in_order = ReplayBackend(store, REPLAY)
     assert [in_order.complete(req(c)).content for c in "abc"] == \

@@ -302,6 +302,31 @@ def test_curve_on_a_torn_records_line_exits_2_naming_the_line(tmp_path, runner, 
     assert error.startswith(f"records {records}, line 3: unreadable row: ")
 
 
+@pytest.mark.parametrize("fields, cause", [
+    ({"val_score": 10**400}, "OverflowError("),
+    ({"cost_so_far_usd": 10**400}, "OverflowError("),
+    ({"batch_index": "a,b"}, "batch_index must be an integer"),
+    ({"batch_index": 2.0}, "batch_index must be an integer"),
+    ({"api_calls_so_far": True}, "api_calls_so_far must be an integer"),
+    ({"val_score": "0.5"}, "val_score must be a number"),
+    ({"val_score": False}, "val_score must be a number"),
+    ({"cost_so_far_usd": "0.01"}, "cost_so_far_usd must be a number"),
+])
+def test_curve_on_a_record_field_of_the_wrong_kind_exits_2_naming_the_line(tmp_path, runner,
+                                                                           fields, cause):
+    write_records(tmp_path / "run", [0.2, 0.5])
+    records = tmp_path / "run" / "records.jsonl"
+    row = {"batch_index": 2, "val_score": 0.4, "revision": 1, "api_calls_so_far": 30,
+           "cost_so_far_usd": 0.03, "timestamp": 2, **fields}
+    records.write_text(records.read_text() + json.dumps(row) + "\n")
+    result = runner.invoke(main, ["curve", "--run-dir", str(tmp_path / "run")])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    error = json.loads(result.stderr.strip())["error"]
+    assert error.startswith(f"records {records}, line 3: unreadable row: ")
+    assert cause in error
+
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------

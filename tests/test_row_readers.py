@@ -1,6 +1,7 @@
 """The JSON-lines readers against reference readers: `load_corpus`,
-`load_dataset` and the replay store that `ReplayBackend` loads; and
-`load_checkpoint` on spoiled checkpoints.
+`load_dataset`, the replay store that `ReplayBackend` loads and the run
+records that `flowtune curve` reads; and `load_checkpoint` on spoiled
+checkpoints.
 
 Each generated file either loads to exactly what the reference yields, or is
 a ValueError naming the file and the first bad line. The reference reads a
@@ -11,10 +12,12 @@ line as the documentation says: split at b"\\n", decode UTF-8, `str.strip`,
 import json
 import sys
 
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowtune.backend import REPLAY, ChatResponse, ReplayBackend
+from flowtune.cli import main
 from flowtune.evaluation import load_dataset
 from flowtune.model import Loop, Route, StepSpec, WorkflowState, serialize_state, validate_state
 from flowtune.store import load_checkpoint
@@ -266,6 +269,68 @@ def test_a_replay_store_loads_what_the_reference_reads(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "store.jsonl"
     check(path, data, store_entry, read_store,
           lambda n: f"replay store {path}, line {n}: ")
+
+
+# --- the run records -----------------------------------------------------------
+
+RECORD_KEYS = ("batch_index", "val_score", "api_calls_so_far", "cost_so_far_usd")
+COUNT = st.integers(0, 99)
+NUMBER = st.integers(0, 3) | st.sampled_from([0.5, -0.0, 1e16, 0.0123456789])
+
+
+@st.composite
+def record_rows(draw):
+    """A run record as `train` writes it, sometimes with a field of another
+    kind or without one."""
+    row = {"batch_index": draw(COUNT), "val_score": draw(NUMBER), "revision": 1,
+           "api_calls_so_far": draw(COUNT), "cost_so_far_usd": draw(NUMBER), "timestamp": 0}
+    kind = draw(st.sampled_from(["row"] * 30 + ["odd-field"] * 4 + ["missing"]))
+    key = draw(st.sampled_from(RECORD_KEYS))
+    if kind == "odd-field":
+        row[key] = draw(ODD | TEXT | st.sampled_from([1.5, 2.0, 10**400]))
+    elif kind == "missing":
+        del row[key]
+    return row
+
+
+def record_entry(row):
+    """The curve's batch index, score, calls and cost columns of a row, as
+    text; None for a row without each key, with a count that is no JSON
+    integer, or with a score or cost that is no number a float holds."""
+    if type(row) is not dict or any(key not in row for key in RECORD_KEYS):
+        return None
+    index, score, calls, cost = (row[key] for key in RECORD_KEYS)
+    if (type(index) is not int or type(calls) is not int
+            or any(type(x) not in (int, float) or type(x) is int and abs(x) > sys.float_info.max
+                   for x in (score, cost))):
+        return None
+    return (str(index), str(float(score)), str(calls), f"{float(cost):.6f}")
+
+
+def read_records(path):
+    """The curve's rows without their running best, which is checked here;
+    an exit 2 is a ValueError of its message."""
+    result = CliRunner().invoke(main, ["curve", "--run-dir", str(path.parent)])
+    if result.exit_code == 2:
+        raise ValueError(json.loads(result.stderr)["error"])
+    assert result.exit_code == 0, result.output
+    header, *lines = result.stdout.splitlines()
+    assert header == "batch_index,val_score,best_so_far,calls,cost"
+    rows = [line.split(",") for line in lines]
+    assert all(len(row) == 5 for row in rows)
+    scores = [float(row[1]) for row in rows]
+    assert [float(row[2]) for row in rows] == [max(scores[:i + 1]) for i in range(len(rows))]
+    return [(index, score, calls, cost) for index, score, _, calls, cost in rows]
+
+
+@settings(max_examples=100)
+@given(data=files(record_rows()))
+@example(data=b'{"batch_index": 0, "val_score": 0.5, "api_calls_so_far": 1, '
+              b'"cost_so_far_usd": 0}\n\xc2\xa0\n')
+def test_flowtune_curve_reads_what_the_reference_reads(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "run" / "records.jsonl"
+    path.parent.mkdir(exist_ok=True)
+    check(path, data, record_entry, read_records, lambda n: f"records {path}, line {n}: ")
 
 
 # --- checkpoints -------------------------------------------------------------
